@@ -4,19 +4,14 @@ namespace ehw::fpga {
 
 PartialBitstream readback(const ConfigMemory& memory, std::size_t base,
                           std::size_t words, std::string name) {
-  EHW_REQUIRE(base + words <= memory.size(), "readback out of range");
-  std::vector<ConfigWord> payload(words);
-  for (std::size_t i = 0; i < words; ++i) payload[i] = memory.read(base + i);
-  return PartialBitstream(std::move(name), std::move(payload));
+  const std::span<const ConfigWord> actual = memory.view(base, words);
+  return PartialBitstream(std::move(name),
+                          std::vector<ConfigWord>(actual.begin(), actual.end()));
 }
 
 void write_payload(ConfigMemory& memory, std::size_t base,
                    const PartialBitstream& pbs) {
-  EHW_REQUIRE(base + pbs.word_count() <= memory.size(),
-              "bitstream write out of range");
-  for (std::size_t i = 0; i < pbs.word_count(); ++i) {
-    memory.write(base + i, pbs.payload()[i]);
-  }
+  memory.write_block(base, pbs.payload());
 }
 
 }  // namespace ehw::fpga

@@ -8,31 +8,29 @@ CellConfig decode_slot(const fpga::ConfigMemory& memory,
                        const fpga::FabricGeometry& geometry,
                        const reconfig::PbsLibrary& library,
                        const fpga::SlotAddress& slot) {
-  const std::size_t base = geometry.slot_word_base(slot);
-  const std::size_t words = geometry.words_per_slot();
-  std::vector<fpga::ConfigWord> payload(words);
-  std::uint64_t content_hash = 0x9E3779B97F4A7C15ULL;
-  for (std::size_t i = 0; i < words; ++i) {
-    payload[i] = memory.read(base + i);
-    content_hash = hash_mix(content_hash, payload[i], i);
-  }
+  const std::span<const fpga::ConfigWord> payload = memory.view(
+      geometry.slot_word_base(slot), geometry.words_per_slot());
 
   CellConfig config;
-  const std::uint8_t opcode = reconfig::PbsLibrary::opcode_of_word0(payload[0]);
   if (library.is_intact(payload)) {
-    config.op = static_cast<PeOp>(opcode);
+    config.op = static_cast<PeOp>(
+        reconfig::PbsLibrary::opcode_of_word0(payload[0]));
     config.defective = false;
-  } else {
-    // Any deviation from a library PBS — dummy payload, SEU-flipped bit,
-    // stuck LPD bit, invalid opcode — misbehaves at the PE output.
-    config.op = PeOp::kIdentityW;  // irrelevant; defective path wins
-    config.defective = true;
-    // Seed ties the random behaviour to the exact corrupted content and
-    // location, so two different corruptions behave differently but each
-    // is reproducible.
-    config.defect_seed = hash_mix(content_hash, slot.array,
-                                  slot.row * 97 + slot.col);
+    return config;
   }
+  // Any deviation from a library PBS — dummy payload, SEU-flipped bit,
+  // stuck LPD bit, invalid opcode — misbehaves at the PE output.
+  config.op = PeOp::kIdentityW;  // irrelevant; defective path wins
+  config.defective = true;
+  // Seed ties the random behaviour to the exact corrupted content and
+  // location, so two different corruptions behave differently but each
+  // is reproducible. Only defective slots pay for the content hash.
+  std::uint64_t content_hash = 0x9E3779B97F4A7C15ULL;
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    content_hash = hash_mix(content_hash, payload[i], i);
+  }
+  config.defect_seed =
+      hash_mix(content_hash, slot.array, slot.row * 97 + slot.col);
   return config;
 }
 

@@ -9,7 +9,7 @@ namespace ehw::platform {
 EvolvablePlatform::EvolvablePlatform(PlatformConfig config)
     : config_(config),
       geometry_(config.num_arrays, config.shape),
-      memory_(geometry_.total_words()),
+      memory_(geometry_.total_words(), geometry_.words_per_slot()),
       library_(geometry_.words_per_slot()),
       injector_(memory_, geometry_, config.seed ^ 0xFA017EC7ULL),
       regs_(config.num_arrays) {
@@ -141,14 +141,11 @@ std::uint64_t EvolvablePlatform::configuration_fingerprint(
   check_array(array);
   std::uint64_t h = hash_mix(0x5C4DF00DULL, array, config_.shape.rows,
                              config_.shape.cols);
-  const std::size_t words = geometry_.words_per_slot();
-  for (std::size_t r = 0; r < config_.shape.rows; ++r) {
-    for (std::size_t c = 0; c < config_.shape.cols; ++c) {
-      const std::size_t base = geometry_.slot_word_base({array, r, c});
-      for (std::size_t i = 0; i < words; ++i) {
-        h = hash_mix(h, memory_.read(base + i), i);
-      }
-    }
+  // One configuration-memory block per slot, hashed eagerly on every
+  // write: the fold costs one mix per slot, not one per config word.
+  const std::size_t first = geometry_.slot_index({array, 0, 0});
+  for (std::size_t s = 0; s < geometry_.slots_per_array(); ++s) {
+    h = hash_mix(h, memory_.block_hash(first + s), s);
   }
   for (const std::uint8_t tap : acbs_[array].input_taps()) {
     h = hash_mix(h, tap);
@@ -158,7 +155,7 @@ std::uint64_t EvolvablePlatform::configuration_fingerprint(
 
 sim::Interval EvolvablePlatform::book_evaluation(
     std::size_t array, std::size_t width, std::size_t height,
-    sim::SimTime earliest, const std::string& trace_label) {
+    sim::SimTime earliest, std::string_view trace_label) {
   check_array(array);
   const sim::Interval span = timeline_.reserve(
       array_resources_[array], earliest, frame_time(width, height));
@@ -173,7 +170,7 @@ void EvolvablePlatform::publish_fitness(std::size_t array, Fitness fitness) {
 
 EvaluationResult EvolvablePlatform::evaluate_array(
     std::size_t array, const img::Image& input, const img::Image& compare,
-    sim::SimTime earliest, const std::string& trace_label) {
+    sim::SimTime earliest, std::string_view trace_label) {
   check_array(array);
   EHW_REQUIRE(input.same_shape(compare),
               "fitness streams must share a shape");

@@ -18,6 +18,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <string_view>
 #include <vector>
 
 #include "ehw/common/thread_pool.hpp"
@@ -110,7 +111,7 @@ class EvolvablePlatform {
   EvaluationResult evaluate_array(std::size_t array, const img::Image& input,
                                   const img::Image& compare,
                                   sim::SimTime earliest = 0,
-                                  const std::string& trace_label = "F");
+                                  std::string_view trace_label = "F");
 
   /// The three phases of evaluate_array split out so evolution drivers can
   /// overlap the host-side fitness computation of a whole candidate wave
@@ -137,7 +138,7 @@ class EvolvablePlatform {
       std::size_t array) const;
   sim::Interval book_evaluation(std::size_t array, std::size_t width,
                                 std::size_t height, sim::SimTime earliest,
-                                const std::string& trace_label = "F");
+                                std::string_view trace_label = "F");
   void publish_fitness(std::size_t array, Fitness fitness);
 
   /// --- mission-time processing modes (§IV.A) -------------------------------

@@ -19,7 +19,7 @@ sim::Interval ReconfigurationEngine::write_pe(const fpga::SlotAddress& slot,
                                               std::uint8_t opcode,
                                               sim::SimTime earliest,
                                               sim::ResourceId array_resource,
-                                              const std::string& trace_label) {
+                                              std::string_view trace_label) {
   const fpga::PartialBitstream& pbs =
       opcode == kDummyOpcode ? library_.dummy() : library_.function(opcode);
   const std::size_t base = geometry_.slot_word_base(slot);
@@ -84,12 +84,11 @@ sim::Interval ReconfigurationEngine::scrub_slot(const fpga::SlotAddress& slot,
 
 bool ReconfigurationEngine::slot_intact(const fpga::SlotAddress& slot,
                                         std::uint8_t* opcode_out) const {
-  const std::size_t base = geometry_.slot_word_base(slot);
-  const std::size_t words = geometry_.words_per_slot();
-  std::vector<fpga::ConfigWord> payload(words);
-  for (std::size_t i = 0; i < words; ++i) payload[i] = memory_.read(base + i);
-  const std::uint8_t opcode = PbsLibrary::opcode_of_word0(payload[0]);
-  if (opcode_out != nullptr) *opcode_out = opcode;
+  const std::span<const fpga::ConfigWord> payload = memory_.view(
+      geometry_.slot_word_base(slot), geometry_.words_per_slot());
+  if (opcode_out != nullptr) {
+    *opcode_out = PbsLibrary::opcode_of_word0(payload[0]);
+  }
   return library_.is_intact(payload);
 }
 

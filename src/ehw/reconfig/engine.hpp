@@ -17,6 +17,7 @@
 // immediately — simulated time is bookkeeping layered on top.
 
 #include <cstdint>
+#include <string_view>
 
 #include "ehw/fpga/bitstream.hpp"
 #include "ehw/fpga/config_memory.hpp"
@@ -59,7 +60,7 @@ class ReconfigurationEngine {
   sim::Interval write_pe(const fpga::SlotAddress& slot, std::uint8_t opcode,
                          sim::SimTime earliest,
                          sim::ResourceId array_resource,
-                         const std::string& trace_label = "");
+                         std::string_view trace_label = {});
 
   /// Reads the slot's current actual configuration back (no array booking:
   /// readback does not disturb operation).

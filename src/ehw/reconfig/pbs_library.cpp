@@ -1,5 +1,6 @@
 #include "ehw/reconfig/pbs_library.hpp"
 
+#include <algorithm>
 #include <string>
 
 #include "ehw/common/rng.hpp"
@@ -36,12 +37,11 @@ fpga::PartialBitstream PbsLibrary::synthesize(std::uint8_t opcode,
   return fpga::PartialBitstream(name, std::move(payload));
 }
 
-bool PbsLibrary::is_intact(
-    const std::vector<fpga::ConfigWord>& payload) const {
+bool PbsLibrary::is_intact(std::span<const fpga::ConfigWord> payload) const {
   if (payload.size() != words_per_slot_) return false;
   const std::uint8_t opcode = opcode_of_word0(payload[0]);
   if (opcode >= kFunctionCount) return false;  // dummy or corrupted opcode
-  return payload == functions_[opcode].payload();
+  return std::ranges::equal(payload, functions_[opcode].payload());
 }
 
 }  // namespace ehw::reconfig

@@ -15,6 +15,7 @@
 // inside a PE corrupts its output.
 
 #include <cstdint>
+#include <span>
 
 #include "ehw/fpga/bitstream.hpp"
 #include "ehw/fpga/geometry.hpp"
@@ -54,8 +55,10 @@ class PbsLibrary {
   }
 
   /// True iff `payload` matches the library bit pattern for its opcode
-  /// exactly (i.e. the slot is healthy). Dummy payloads never match.
-  [[nodiscard]] bool is_intact(const std::vector<fpga::ConfigWord>& payload)
+  /// exactly (i.e. the slot is healthy). Dummy payloads never match. The
+  /// one slot-health check: the decoder and the engine pass a view of
+  /// configuration memory straight in.
+  [[nodiscard]] bool is_intact(std::span<const fpga::ConfigWord> payload)
       const;
 
  private:

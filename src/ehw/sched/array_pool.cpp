@@ -149,6 +149,8 @@ platform::CompiledLane MissionContext::compile_cached(std::size_t lane) {
             key};
   }
   bool hit = false;
+  // The inserted entry records (lane, genotype) so warm-state persistence
+  // can recompile it on a fresh pool after a restart.
   auto compiled = cache_->get_or_compile(
       key,
       [this, lane] {
@@ -157,16 +159,11 @@ platform::CompiledLane MissionContext::compile_cached(std::size_t lane) {
         EHW_TRACE_SPAN("compile");
         return platform_->compile_array(lane);
       },
-      &hit);
+      &hit, lane, configured.has_value() ? &*configured : nullptr);
   if (hit) {
     ++hits_;
   } else {
     ++misses_;
-    // Record how to rebuild this entry so warm-state persistence can
-    // recompile it on a fresh pool after a restart.
-    if (configured.has_value()) {
-      cache_->note_recipe(key, lane, evo::serialize_genotype(*configured));
-    }
   }
   return {std::move(compiled), key};
 }
@@ -848,7 +845,7 @@ ArrayPool::WarmLoadStats ArrayPool::import_warm_state(const Json& state) {
       continue;
     }
     cache_.warm_insert(
-        key, lane, line,
+        key, lane, std::move(genotype),
         std::make_shared<const pe::CompiledArray>(scratch.compile_array(lane)));
     ++loaded.cache_loaded;
   }

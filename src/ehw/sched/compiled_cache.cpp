@@ -1,9 +1,14 @@
 #include "ehw/sched/compiled_cache.hpp"
 
+#include <tuple>
+
+#include "ehw/evo/serialize.hpp"
+
 namespace ehw::sched {
 
 std::shared_ptr<const pe::CompiledArray> CompiledArrayCache::get_or_compile(
-    std::uint64_t key, const CompileFn& compile, bool* was_hit) {
+    std::uint64_t key, const CompileFn& compile, bool* was_hit,
+    std::size_t lane, const evo::Genotype* genotype) {
   if (capacity_ == 0) {
     {
       std::lock_guard lock(mutex_);
@@ -26,8 +31,11 @@ std::shared_ptr<const pe::CompiledArray> CompiledArrayCache::get_or_compile(
   }
   if (was_hit != nullptr) *was_hit = false;
 
-  // Compile outside the lock: a miss must not serialize other missions.
+  // Compile (and copy the recipe) outside the lock: a miss must not
+  // serialize other missions.
   auto value = std::make_shared<const pe::CompiledArray>(compile());
+  std::optional<evo::Genotype> recipe;
+  if (genotype != nullptr) recipe = *genotype;
 
   std::lock_guard lock(mutex_);
   const auto it = index_.find(key);
@@ -37,14 +45,22 @@ std::shared_ptr<const pe::CompiledArray> CompiledArrayCache::get_or_compile(
     lru_.splice(lru_.begin(), lru_, it->second.lru_pos);
     return it->second.value;
   }
+  stats_.evictions +=
+      insert_locked(key, Entry{value, {}, lane, std::move(recipe)});
+  return value;
+}
+
+std::size_t CompiledArrayCache::insert_locked(std::uint64_t key, Entry entry) {
   lru_.push_front(key);
-  index_.emplace(key, Entry{value, lru_.begin(), 0, {}});
+  entry.lru_pos = lru_.begin();
+  index_.emplace(key, std::move(entry));
+  std::size_t evicted = 0;
   while (index_.size() > capacity_) {
     index_.erase(lru_.back());
     lru_.pop_back();
-    ++stats_.evictions;
+    ++evicted;
   }
-  return value;
+  return evicted;
 }
 
 std::size_t CompiledArrayCache::size() const {
@@ -63,41 +79,34 @@ void CompiledArrayCache::clear() {
   lru_.clear();
 }
 
-void CompiledArrayCache::note_recipe(std::uint64_t key, std::size_t lane,
-                                     std::string genotype_line) {
-  std::lock_guard lock(mutex_);
-  const auto it = index_.find(key);
-  if (it == index_.end()) return;  // already evicted (tiny caches)
-  it->second.lane = lane;
-  it->second.genotype = std::move(genotype_line);
-}
-
 std::vector<CacheRecipe> CompiledArrayCache::recipes() const {
-  std::lock_guard lock(mutex_);
+  std::vector<std::tuple<std::uint64_t, std::size_t, evo::Genotype>> resident;
+  {
+    std::lock_guard lock(mutex_);
+    resident.reserve(index_.size());
+    for (const std::uint64_t key : lru_) {
+      const Entry& entry = index_.at(key);
+      if (entry.genotype.has_value()) {
+        resident.emplace_back(key, entry.lane, *entry.genotype);
+      }
+    }
+  }
   std::vector<CacheRecipe> out;
-  out.reserve(index_.size());
-  for (const std::uint64_t key : lru_) {
-    const Entry& entry = index_.at(key);
-    if (entry.genotype.empty()) continue;
-    out.push_back(CacheRecipe{key, entry.lane, entry.genotype});
+  out.reserve(resident.size());
+  for (const auto& [key, lane, genotype] : resident) {
+    out.push_back(CacheRecipe{key, lane, evo::serialize_genotype(genotype)});
   }
   return out;
 }
 
 void CompiledArrayCache::warm_insert(
-    std::uint64_t key, std::size_t lane, std::string genotype_line,
+    std::uint64_t key, std::size_t lane, evo::Genotype genotype,
     std::shared_ptr<const pe::CompiledArray> value) {
   if (capacity_ == 0) return;
   std::lock_guard lock(mutex_);
   if (index_.find(key) != index_.end()) return;
-  lru_.push_front(key);
-  index_.emplace(key,
-                 Entry{std::move(value), lru_.begin(), lane,
-                       std::move(genotype_line)});
-  while (index_.size() > capacity_) {
-    index_.erase(lru_.back());
-    lru_.pop_back();
-  }
+  static_cast<void>(insert_locked(
+      key, Entry{std::move(value), {}, lane, std::move(genotype)}));
 }
 
 }  // namespace ehw::sched

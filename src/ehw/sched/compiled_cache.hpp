@@ -19,10 +19,12 @@
 #include <list>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
 
+#include "ehw/evo/genotype.hpp"
 #include "ehw/pe/compiled.hpp"
 
 namespace ehw::sched {
@@ -63,30 +65,28 @@ class CompiledArrayCache {
 
   /// Returns the cached array for `key`, or compiles one via `compile`,
   /// inserts it (evicting the least-recently-used entry at capacity) and
-  /// returns it. `was_hit` (optional) reports which path was taken.
+  /// returns it. `was_hit` (optional) reports which path was taken. When
+  /// `genotype` is given, an inserted entry records it with `lane` as its
+  /// rebuild recipe (under the same lock as the insert).
   [[nodiscard]] std::shared_ptr<const pe::CompiledArray> get_or_compile(
-      std::uint64_t key, const CompileFn& compile, bool* was_hit = nullptr);
+      std::uint64_t key, const CompileFn& compile, bool* was_hit = nullptr,
+      std::size_t lane = 0, const evo::Genotype* genotype = nullptr);
 
   [[nodiscard]] std::size_t capacity() const noexcept { return capacity_; }
   [[nodiscard]] std::size_t size() const;
   [[nodiscard]] CacheStats stats() const;
   void clear();
 
-  /// Records the rebuild recipe for `key` (called by the compile path on
-  /// a miss). Recipes ride along with entries: evicting the entry drops
-  /// its recipe.
-  void note_recipe(std::uint64_t key, std::size_t lane,
-                   std::string genotype_line);
-
   /// Recipes of the currently resident entries, most recently used first
-  /// — the persistable image of the cache.
+  /// — the persistable image of the cache. Genotypes are serialized here,
+  /// not on the compile path.
   [[nodiscard]] std::vector<CacheRecipe> recipes() const;
 
   /// Inserts a pre-compiled value (warm-state import). Counts neither a
   /// hit nor a miss; no-op when caching is disabled or the key is
   /// already resident.
   void warm_insert(std::uint64_t key, std::size_t lane,
-                   std::string genotype_line,
+                   evo::Genotype genotype,
                    std::shared_ptr<const pe::CompiledArray> value);
 
  private:
@@ -96,7 +96,7 @@ class CompiledArrayCache {
     /// Rebuild recipe; `genotype` empty when never recorded (direct
     /// get_or_compile callers that don't persist).
     std::size_t lane = 0;
-    std::string genotype;
+    std::optional<evo::Genotype> genotype;
   };
 
   std::size_t capacity_;
@@ -104,6 +104,10 @@ class CompiledArrayCache {
   std::list<std::uint64_t> lru_;  // front = most recently used
   std::unordered_map<std::uint64_t, Entry> index_;
   CacheStats stats_;
+
+  /// Inserts at the MRU end and evicts beyond capacity; caller holds
+  /// `mutex_` and has checked that `key` is absent. Returns evictions.
+  std::size_t insert_locked(std::uint64_t key, Entry entry);
 };
 
 }  // namespace ehw::sched

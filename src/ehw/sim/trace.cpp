@@ -5,9 +5,10 @@
 
 namespace ehw::sim {
 
-void Trace::record(ResourceId resource, std::string label, Interval span) {
+void Trace::record(ResourceId resource, std::string_view label,
+                   Interval span) {
   if (!enabled_) return;
-  events_.push_back(TraceEvent{resource, std::move(label), span});
+  events_.push_back(TraceEvent{resource, std::string(label), span});
 }
 
 void Trace::render_gantt(std::ostream& os, const Timeline& timeline,

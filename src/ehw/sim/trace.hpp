@@ -5,6 +5,7 @@
 
 #include <iosfwd>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "ehw/sim/time.hpp"
@@ -24,7 +25,9 @@ class Trace {
   void enable(bool on) noexcept { enabled_ = on; }
   [[nodiscard]] bool enabled() const noexcept { return enabled_; }
 
-  void record(ResourceId resource, std::string label, Interval span);
+  /// Records one box; the label is copied only while recording is on, so
+  /// disarmed call sites cost no allocation.
+  void record(ResourceId resource, std::string_view label, Interval span);
   void clear() noexcept { events_.clear(); }
 
   [[nodiscard]] const std::vector<TraceEvent>& events() const noexcept {

@@ -3,6 +3,7 @@
 
 #include <gtest/gtest.h>
 
+#include "ehw/common/rng.hpp"
 #include "ehw/fpga/bitstream.hpp"
 #include "ehw/fpga/config_memory.hpp"
 #include "ehw/fpga/fault.hpp"
@@ -204,6 +205,84 @@ TEST(Scrubber, SlotScrubTouchesOnlySlot) {
   const ScrubReport r = scrub.scrub_slot({0, 0, 0});
   EXPECT_EQ(r.words_corrected, 1u);
   EXPECT_EQ(mem.upset_word_count(), 1u);  // the other slot still upset
+}
+
+// --- block hashes ------------------------------------------------------------
+
+void expect_block_hashes_current(const ConfigMemory& mem) {
+  for (std::size_t b = 0; b < mem.block_count(); ++b) {
+    ASSERT_EQ(mem.block_hash(b), mem.compute_block_hash(b)) << "block " << b;
+  }
+}
+
+TEST(ConfigMemoryBlocks, EagerHashesMatchRecomputeAfterEveryMutator) {
+  constexpr std::size_t kBlock = 10;
+  ConfigMemory mem(4 * kBlock, kBlock);
+  ASSERT_EQ(mem.block_count(), 4u);
+  expect_block_hashes_current(mem);
+  Rng rng(77);
+  for (int op = 0; op < 2000; ++op) {
+    const std::size_t addr = rng.below(mem.size());
+    const auto bit = static_cast<unsigned>(rng.below(32));
+    switch (rng.below(7)) {
+      case 0:
+        mem.write(addr, static_cast<ConfigWord>(rng()));
+        break;
+      case 1: {  // aligned or unaligned multi-word write, maybe spanning blocks
+        const std::size_t len = 1 + rng.below(mem.size() - addr);
+        std::vector<ConfigWord> words(len);
+        for (ConfigWord& w : words) w = static_cast<ConfigWord>(rng());
+        mem.write_block(addr, words);
+        break;
+      }
+      case 2: {  // exactly one whole block
+        std::vector<ConfigWord> words(kBlock);
+        for (ConfigWord& w : words) w = static_cast<ConfigWord>(rng());
+        mem.write_block(rng.below(4) * kBlock, words);
+        break;
+      }
+      case 3:
+        static_cast<void>(mem.rewrite(addr));
+        break;
+      case 4:
+        mem.flip_bit(addr, bit);
+        break;
+      case 5:
+        mem.set_stuck_bit(addr, bit, rng.chance(0.5));
+        break;
+      default:
+        mem.clear_stuck_bit(addr, bit);
+        break;
+    }
+    expect_block_hashes_current(mem);
+  }
+}
+
+TEST(ConfigMemoryBlocks, HashDependsOnContentNotPositionOrHistory) {
+  ConfigMemory mem(30, 10);
+  const std::vector<ConfigWord> payload{1, 2, 3, 4, 5, 6, 7, 8, 9, 10};
+  mem.write_block(0, payload);
+  for (std::size_t i = 0; i < payload.size(); ++i) {
+    mem.write(20 + i, payload[i] ^ 0xFFu);  // different history ...
+    mem.write(20 + i, payload[i]);          // ... same final content
+  }
+  EXPECT_EQ(mem.block_hash(0), mem.block_hash(2));
+  EXPECT_NE(mem.block_hash(0), mem.block_hash(1));  // block 1 is all zero
+  // Swapping two words changes the hash: offsets are part of each term.
+  mem.write(20, payload[1]);
+  mem.write(21, payload[0]);
+  EXPECT_NE(mem.block_hash(0), mem.block_hash(2));
+}
+
+TEST(ConfigMemoryBlocks, DefaultIsOneBlockAndViewsFollowWrites) {
+  ConfigMemory mem(16);
+  EXPECT_EQ(mem.block_count(), 1u);
+  EXPECT_EQ(mem.block_words(), 16u);
+  const std::span<const ConfigWord> view = mem.view(4, 3);
+  mem.write(5, 0xABCD);
+  EXPECT_EQ(view[1], 0xABCDu);
+  EXPECT_THROW(static_cast<void>(mem.view(14, 3)), std::logic_error);
+  EXPECT_THROW(static_cast<void>(ConfigMemory(16, 5)), std::logic_error);
 }
 
 }  // namespace

@@ -300,6 +300,34 @@ TEST_F(DecoderFixture, DifferentCorruptionsDifferentSeeds) {
   EXPECT_NE(a.defect_seed, b.defect_seed);
 }
 
+TEST_F(DecoderFixture, DefectSeedsMatchPinnedGoldens) {
+  // Pinned from the full-payload decoder that hashed every slot: decoding
+  // intact slots in place must leave defective-cell behaviour unchanged.
+  write_function({0, 0, 0}, 4);
+  memory.flip_bit(geometry.slot_word_base({0, 0, 0}) + 9, 17);
+  fpga::write_payload(memory, geometry.slot_word_base({0, 2, 2}),
+                      library.dummy());
+  write_function({0, 3, 1}, 13);
+  const std::size_t word0 = geometry.slot_word_base({0, 3, 1});
+  memory.set_stuck_bit(word0, 3, ((memory.read(word0) >> 3) & 1u) == 0);
+  // Slot (1,1) keeps its power-on all-zero payload.
+  const struct {
+    fpga::SlotAddress slot;
+    std::uint64_t seed;
+  } goldens[] = {
+      {{0, 0, 0}, 0x7cbb9a3f6673c2b6ULL},
+      {{0, 2, 2}, 0x0446b0bd7f7b4218ULL},
+      {{0, 3, 1}, 0x8236a96449025f4aULL},
+      {{0, 1, 1}, 0x1a2ae11ed14799f7ULL},
+  };
+  for (const auto& golden : goldens) {
+    const CellConfig cc = decode_slot(memory, geometry, library, golden.slot);
+    EXPECT_TRUE(cc.defective);
+    EXPECT_EQ(cc.defect_seed, golden.seed)
+        << "slot " << golden.slot.row << "," << golden.slot.col;
+  }
+}
+
 TEST_F(DecoderFixture, DecodeArrayAppliesRegisterGenes) {
   for (std::size_t r = 0; r < 4; ++r) {
     for (std::size_t c = 0; c < 4; ++c) {

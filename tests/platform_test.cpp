@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include "ehw/evo/fitness.hpp"
+#include "ehw/fpga/bitstream.hpp"
 #include "ehw/img/noise.hpp"
 #include "ehw/img/synthetic.hpp"
 #include "ehw/platform/platform.hpp"
@@ -337,6 +338,107 @@ TEST_F(PlatformFixture, RegisterDrivenMuxAffectsDecode) {
   plat.reg_write(RegisterFile::acb_reg(0, kRegInputTap0), 7);
   const pe::SystolicArray arr = plat.decode_array(0);
   EXPECT_EQ(arr.input_select(0), 7);
+}
+
+// --- incremental fabric fingerprints ----------------------------------------
+
+TEST_F(PlatformFixture, BlockHashesMatchRecomputeUnderRandomFaultsAndScrubs) {
+  fpga::ConfigMemory& mem = plat.config_memory();
+  const fpga::FabricGeometry& geo = plat.geometry();
+  const reconfig::PbsLibrary& lib = plat.engine().library();
+  ASSERT_EQ(mem.block_words(), geo.words_per_slot());
+  ASSERT_EQ(mem.block_count(), geo.total_slots());
+  Rng rng(2024);
+  for (int op = 0; op < 600; ++op) {
+    const std::size_t addr = rng.below(mem.size());
+    const auto bit = static_cast<unsigned>(rng.below(32));
+    switch (rng.below(7)) {
+      case 0: {
+        const std::size_t slot = rng.below(geo.total_slots());
+        fpga::write_payload(mem, slot * geo.words_per_slot(),
+                            rng.chance(0.2)
+                                ? lib.dummy()
+                                : lib.function(static_cast<std::uint8_t>(
+                                      rng.below(reconfig::kFunctionCount))));
+        break;
+      }
+      case 1:
+        mem.flip_bit(addr, bit);
+        break;
+      case 2:
+        mem.set_stuck_bit(addr, bit, rng.chance(0.5));
+        break;
+      case 3:
+        mem.clear_stuck_bit(addr, bit);
+        break;
+      case 4:
+        static_cast<void>(mem.rewrite(addr));
+        break;
+      case 5:
+        plat.scrub_array(rng.below(plat.num_arrays()), plat.now());
+        break;
+      default:
+        plat.configure_array(rng.below(plat.num_arrays()),
+                             evo::Genotype::random({4, 4}, rng), plat.now());
+        break;
+    }
+    for (std::size_t b = 0; b < mem.block_count(); ++b) {
+      ASSERT_EQ(mem.block_hash(b), mem.compute_block_hash(b))
+          << "block " << b << " after op " << op;
+    }
+  }
+}
+
+TEST_F(PlatformFixture, AnySingleBitFlipChangesFingerprint) {
+  Rng rng(31);
+  plat.configure_array(1, evo::Genotype::random({4, 4}, rng), 0);
+  fpga::ConfigMemory& mem = plat.config_memory();
+  const fpga::FabricGeometry& geo = plat.geometry();
+  const std::uint64_t clean = plat.configuration_fingerprint(1);
+  for (std::size_t r = 0; r < 4; ++r) {
+    for (std::size_t c = 0; c < 4; ++c) {
+      const std::size_t base = geo.slot_word_base({1, r, c});
+      for (std::size_t w = 0; w < geo.words_per_slot(); ++w) {
+        for (unsigned bit = 0; bit < 32; ++bit) {
+          mem.flip_bit(base + w, bit);
+          ASSERT_NE(plat.configuration_fingerprint(1), clean)
+              << "slot " << r << "," << c << " word " << w << " bit " << bit;
+          mem.flip_bit(base + w, bit);
+        }
+      }
+    }
+  }
+  EXPECT_EQ(plat.configuration_fingerprint(1), clean);
+  // Other arrays' memory is not part of this array's fingerprint.
+  mem.flip_bit(geo.slot_word_base({0, 0, 0}), 0);
+  EXPECT_EQ(plat.configuration_fingerprint(1), clean);
+}
+
+TEST(PlatformFingerprint, EqualPlanesAndRegistersGiveEqualFingerprints) {
+  PlatformConfig other_seed = test::small_platform_config(2);
+  other_seed.seed ^= 0xFFFF;
+  EvolvablePlatform a(test::small_platform_config(2));
+  EvolvablePlatform b(other_seed);
+  Rng rng(8);
+  const evo::Genotype target = evo::Genotype::random({4, 4}, rng);
+  // Different histories: `b` passes through another genotype and an SEU
+  // that a scrub repairs before reaching the same final state.
+  a.configure_array(1, target, 0);
+  b.configure_array(1, evo::Genotype::random({4, 4}, rng), 0);
+  b.configure_array(1, target, b.now());
+  b.config_memory().flip_bit(b.geometry().slot_word_base({1, 2, 1}) + 7, 9);
+  b.scrub_array(1, b.now());
+  EXPECT_EQ(a.configuration_fingerprint(1), b.configuration_fingerprint(1));
+  // The same permanent damage on both keeps them equal ...
+  for (EvolvablePlatform* p : {&a, &b}) {
+    p->config_memory().set_stuck_bit(p->geometry().slot_word_base({1, 0, 3}),
+                                     20, true);
+  }
+  EXPECT_EQ(a.configuration_fingerprint(1), b.configuration_fingerprint(1));
+  // ... and a register difference alone separates them.
+  b.reg_write(RegisterFile::acb_reg(1, kRegInputTap0),
+              (a.reg_read(RegisterFile::acb_reg(1, kRegInputTap0)) + 1) % 9);
+  EXPECT_NE(a.configuration_fingerprint(1), b.configuration_fingerprint(1));
 }
 
 }  // namespace

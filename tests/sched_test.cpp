@@ -13,6 +13,7 @@
 #include <sstream>
 #include <thread>
 
+#include "ehw/evo/serialize.hpp"
 #include "ehw/sched/array_pool.hpp"
 #include "ehw/sched/missions.hpp"
 #include "test_util.hpp"
@@ -511,6 +512,67 @@ cascade job0 lanes=2
   EXPECT_NE(message.find("line 3"), std::string::npos) << message;
   EXPECT_NE(message.find("duplicate mission name 'job0'"), std::string::npos);
   EXPECT_NE(message.find("line 1"), std::string::npos);
+}
+
+// --- warm state across a fingerprint change --------------------------------
+
+// An "mpa-warm-v1" export written by a build whose configuration
+// fingerprint hashed every config word of the array (before per-slot
+// block hashes). Its recipes are valid genotypes for lane 0 of a
+// two-array pool; only their keys come from the old fingerprint.
+constexpr const char* kOldFingerprintWarmState =
+    R"({"format":"mpa-warm-v1",)"
+    R"("memo":[{"k":"1165565720287477806","f":"13621"},)"
+    R"({"k":"8135184664634295390","f":"13793"}],)"
+    R"("cache":[{"key":"5643674334357301002","lane":"0","genotype":)"
+    R"("MPA1 4 4 | 8 8 2 15 4 2 5 8 7 8 14 15 14 4 13 14 | 0 4 0 0 5 4 5 7 | 1"},)"
+    R"({"key":"6487695331379671522","lane":"0","genotype":)"
+    R"("MPA1 4 4 | 7 8 2 15 11 2 5 8 7 8 14 15 14 4 6 14 | 0 4 0 0 5 4 4 7 | 1"},)"
+    R"({"key":"12074758923781115906","lane":"0","genotype":)"
+    R"("MPA1 4 4 | 11 8 2 15 11 2 0 8 7 8 4 15 14 4 9 14 | 1 4 0 0 5 4 5 7 | 1"}]})";
+
+TEST(ArrayPool, WarmStateKeyedByOldFingerprintReloadsCold) {
+  PoolConfig config;
+  config.num_arrays = 2;
+  const Json old_state = Json::parse(kOldFingerprintWarmState);
+  {
+    ArrayPool pool(config);
+    const ArrayPool::WarmLoadStats loaded = pool.import_warm_state(old_state);
+    EXPECT_EQ(loaded.memo_loaded, 2u);  // content-keyed; simply never hit
+    EXPECT_EQ(loaded.cache_loaded, 0u);
+    EXPECT_EQ(loaded.cache_skipped, 3u);
+    const Json exported = pool.export_warm_state();
+    const Json* cache = exported.get("cache");
+    ASSERT_NE(cache, nullptr);
+    EXPECT_TRUE(cache->as_array().empty());  // no entry under a stale key
+  }
+
+  // Control: the same recipes re-keyed with today's fingerprint load, so
+  // the skips above come from the key round trip, not from bad recipes.
+  platform::PlatformConfig pc;
+  pc.num_arrays = config.num_arrays;
+  pc.shape = config.shape;
+  pc.clock_mhz = config.clock_mhz;
+  pc.line_width = config.line_width;
+  pc.seed = JobConfig{}.platform_seed;
+  platform::EvolvablePlatform scratch(pc);
+  Json::Array cache_entries;
+  for (const Json& entry : old_state.get("cache")->as_array()) {
+    const std::string line = entry.get_string("genotype", "");
+    const evo::Genotype genotype = evo::deserialize_genotype(line);
+    static_cast<void>(scratch.configure_array(0, genotype, 0));
+    const std::uint64_t key =
+        hash_mix(scratch.configuration_fingerprint(0), genotype.hash());
+    cache_entries.push_back(Json::Object{{"key", json_u64(key)},
+                                         {"lane", json_u64(0)},
+                                         {"genotype", Json(line)}});
+  }
+  const Json rekeyed(Json::Object{{"format", Json("mpa-warm-v1")},
+                                  {"cache", Json(std::move(cache_entries))}});
+  ArrayPool pool(config);
+  const ArrayPool::WarmLoadStats loaded = pool.import_warm_state(rekeyed);
+  EXPECT_EQ(loaded.cache_loaded, 3u);
+  EXPECT_EQ(loaded.cache_skipped, 0u);
 }
 
 }  // namespace

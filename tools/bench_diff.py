@@ -2,7 +2,7 @@
 """Compare two BENCH_core.json labels and fail on perf regressions.
 
 CI's bench-smoke job runs the micro benchmarks into a fresh file
-(label ci-smoke) and then diffs the watched benchmarks against the last
+(label ci-smoke) and then diffs the watched benchmarks against the latest
 label recorded in the repo's BENCH_core.json trajectory:
 
     tools/bench_diff.py --current BENCH_core_ci.json \
@@ -11,7 +11,10 @@ label recorded in the repo's BENCH_core.json trajectory:
 Exit status 1 when any watched benchmark's cpu_time grew by more than
 --tolerance percent; missing benchmarks on either side are reported but
 only fatal when NOTHING matched (a silent no-op diff would read as a
-pass). Stdlib only — runs on a bare CI python3.
+pass). "last" means the label with the highest "seq" (bench/run_bench
+writes one per label); the file's key order is sorted, not recorded, so
+a label without a seq or two labels sharing the top seq is an error
+(exit 1), never a guess. Stdlib only — runs on a bare CI python3.
 """
 
 import argparse
@@ -23,6 +26,21 @@ DEFAULT_WATCH = ["BM_FitnessAgainst/256", "BM_ServiceThroughput",
                  "BM_ClusterThroughput", "BM_TelemetryOverhead"]
 
 
+def latest_label(runs, path):
+    """The label with the highest seq; exits when the order is unknowable."""
+    unordered = sorted(l for l, r in runs.items()
+                       if not isinstance(r.get("seq"), int))
+    if unordered:
+        sys.exit(f"bench_diff: {path}: label(s) without an integer seq: "
+                 f"{', '.join(unordered)}; cannot tell which is latest")
+    top = max(r["seq"] for r in runs.values())
+    latest = sorted(l for l, r in runs.items() if r["seq"] == top)
+    if len(latest) > 1:
+        sys.exit(f"bench_diff: {path}: labels {', '.join(latest)} share "
+                 f"seq {top}; cannot tell which is latest")
+    return latest[0]
+
+
 def load_label(path, label):
     with open(path) as handle:
         data = json.load(handle)
@@ -30,7 +48,7 @@ def load_label(path, label):
     if not runs:
         sys.exit(f"bench_diff: no runs in {path}")
     if label is None or label == "last":
-        label = list(runs)[-1]  # insertion order == record order
+        label = latest_label(runs, path)
     if label not in runs:
         sys.exit(f"bench_diff: label {label!r} not in {path} "
                  f"(has: {', '.join(runs)})")
