@@ -15,20 +15,20 @@
 namespace ehw::svc {
 namespace {
 
-Json greeting_frame() {
-  Json frame = Json::object();
-  frame.set("event", "hello");
-  frame.set("service", kServiceName);
-  frame.set("protocol", kProtocolVersion);
-  frame.set("version", kVersion);
-  frame.set("role", "forwarder");
-  return frame;
-}
-
 /// Sums one numeric field of a backend's cached "pool" section into an
 /// aggregate object (missing fields count 0).
 void sum_field(Json& total, const Json& pool, const char* key) {
   total.set(key, total.get_number(key, 0) + pool.get_number(key, 0));
+}
+
+/// The {backend, address, port} head of a per-backend row (stats,
+/// health and `backend list` all start with it).
+Json backend_head(std::size_t index, const BackendConfig& endpoint) {
+  Json entry = Json::object();
+  entry.set("backend", static_cast<std::uint64_t>(index));
+  entry.set("address", endpoint.address);
+  entry.set("port", static_cast<std::uint64_t>(endpoint.port));
+  return entry;
 }
 
 constexpr const char* kPoolFields[] = {
@@ -52,19 +52,36 @@ Forwarder::Forwarder(ForwarderConfig config) : config_(std::move(config)) {
   // submit already has real capacity snapshots to place against, and
   // backends that are down at boot start down (no first-poll grace).
   for (std::size_t i = 0; i < backends_.size(); ++i) poll_backend(i);
-  listener_ = std::make_unique<Listener>(config_.address, config_.port);
-  port_ = listener_->port();
-  acceptor_ = std::thread([this] { accept_loop(); });
+  Json hello = Json::object();
+  hello.set("role", "forwarder");
+  Endpoint::Ops ops = {
+      {"submit", Endpoint::op(this, &Forwarder::handle_submit)},
+      {"submit_batch", Endpoint::op(this, &Forwarder::handle_submit_batch)},
+      {"status", Endpoint::op(this, &Forwarder::forward_job_op)},
+      {"result", Endpoint::op(this, &Forwarder::handle_result)},
+      {"cancel", Endpoint::op(this, &Forwarder::forward_job_op)},
+      {"list", Endpoint::op(this, &Forwarder::handle_list)},
+      {"stats", Endpoint::op(this, &Forwarder::handle_stats)},
+      {"health", Endpoint::op(this, &Forwarder::handle_health)},
+      {"drain", Endpoint::op(this, &Forwarder::handle_drain)},
+      {"backend", Endpoint::op(this, &Forwarder::handle_backend)},
+      {"watch", Endpoint::op(this, &Forwarder::handle_watch)},
+  };
+  endpoint_ = std::make_unique<Endpoint>(config_, std::move(hello),
+                                         std::move(ops), m_connections_);
+  endpoint_->start();
   poller_ = std::thread([this] { poll_loop(); });
 }
 
 Forwarder::~Forwarder() { stop(); }
 
 void Forwarder::drain() {
-  draining_.store(true, std::memory_order_relaxed);
   std::size_t members = 0;
   {
     std::lock_guard lock(state_mutex_);
+    // Under the lock, or wait_drained could test the flag, miss the
+    // notify below and sleep on.
+    draining_.store(true, std::memory_order_relaxed);
     members = backends_.size();
   }
   for (std::size_t i = 0; i < members; ++i) {
@@ -92,18 +109,10 @@ void Forwarder::stop() {
   }
   poll_cv_.notify_all();
   if (poller_.joinable()) poller_.join();
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listener_ != nullptr) listener_->close();
-  std::vector<std::unique_ptr<Session>> to_join;
-  {
-    std::lock_guard lock(sessions_mutex_);
-    to_join.swap(sessions_);
-  }
-  for (const auto& session : to_join) session->channel->shutdown();
+  endpoint_->close();
+  // Sessions waiting out a failover in result/watch see stopping_ now.
   state_cv_.notify_all();
-  for (const auto& session : to_join) {
-    if (session->thread.joinable()) session->thread.join();
-  }
+  endpoint_->join();
   stopped_ = true;
 }
 
@@ -176,9 +185,10 @@ void Forwarder::poll_loop() {
   while (!stopping_.load(std::memory_order_relaxed)) {
     {
       std::unique_lock lock(poll_mutex_);
-      poll_cv_.wait_for(lock, std::chrono::milliseconds(config_.poll_ms), [this] {
-        return stopping_.load(std::memory_order_relaxed);
-      });
+      poll_cv_.wait_for(lock, std::chrono::milliseconds(config_.poll_ms),
+                        [this] {
+                          return stopping_.load(std::memory_order_relaxed);
+                        });
     }
     if (stopping_.load(std::memory_order_relaxed)) return;
     const std::uint64_t now_ns = obs::Tracer::now_ns();
@@ -323,16 +333,14 @@ void Forwarder::poll_backend(std::size_t index) {
   backend.opt_jobs = 0;
   if (const Json* pool = stats.get("pool"); pool != nullptr) {
     backend.pool_json = *pool;
-    backend.target.total_arrays =
-        static_cast<std::size_t>(pool->get_number("arrays", 0));
-    backend.target.free_arrays =
-        static_cast<std::size_t>(pool->get_number("free_arrays", 0));
-    backend.target.quarantined =
-        static_cast<std::size_t>(pool->get_number("quarantined", 0));
-    backend.target.queued =
-        static_cast<std::size_t>(pool->get_number("queued", 0));
-    backend.target.running =
-        static_cast<std::size_t>(pool->get_number("running", 0));
+    const auto count = [pool](const char* key) {
+      return static_cast<std::size_t>(pool->get_number(key, 0));
+    };
+    backend.target.total_arrays = count("arrays");
+    backend.target.free_arrays = count("free_arrays");
+    backend.target.quarantined = count("quarantined");
+    backend.target.queued = count("queued");
+    backend.target.running = count("running");
   }
 }
 
@@ -542,130 +550,7 @@ void Forwarder::finish_route_failed(const std::shared_ptr<Route>& route,
   state_cv_.notify_all();
 }
 
-// --- northbound service loop ------------------------------------------------
-
-void Forwarder::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::optional<Socket> socket = listener_->accept_one(/*timeout_ms=*/100);
-    if (!socket.has_value()) continue;
-    socket->set_send_timeout(/*timeout_ms=*/10000);
-    auto session = std::make_unique<Session>(std::move(*socket));
-    Session* raw = session.get();
-    {
-      std::lock_guard lock(sessions_mutex_);
-      auto alive = sessions_.begin();
-      for (auto& existing : sessions_) {
-        if (existing->done.load(std::memory_order_acquire) &&
-            existing->thread.joinable()) {
-          existing->thread.join();
-          continue;
-        }
-        *alive++ = std::move(existing);
-      }
-      sessions_.erase(alive, sessions_.end());
-      sessions_.push_back(std::move(session));
-    }
-    m_connections_.add();
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
-  }
-}
-
-void Forwarder::session_loop(Session* session) {
-  LineChannel& channel = *session->channel;
-  channel.set_max_line(config_.max_line);
-  if (config_.idle_timeout_ms > 0) {
-    channel.set_recv_timeout(config_.idle_timeout_ms);
-  }
-  if (channel.write_line(greeting_frame().dump())) {
-    std::string line;
-    for (;;) {
-      const LineChannel::ReadStatus read = channel.read_frame(line);
-      if (read == LineChannel::ReadStatus::kOversize) {
-        // Bounded buffering: the oversize frame was discarded as it
-        // streamed in, never accumulated. Tell the peer why, then hang
-        // up — framing is lost after a dropped line.
-        const Json response = make_error(
-            "frame exceeds the " + std::to_string(channel.max_line()) +
-                " byte line limit",
-            "oversize_frame");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read == LineChannel::ReadStatus::kTimeout) {
-        const Json response = make_error(
-            "idle timeout: no request within " +
-                std::to_string(config_.idle_timeout_ms) + " ms",
-            "idle_timeout");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read != LineChannel::ReadStatus::kLine) break;
-      Json request;
-      try {
-        request = Json::parse(line);
-        if (!request.is_object()) {
-          throw JsonError("request must be a JSON object", 0);
-        }
-      } catch (const JsonError& e) {
-        const Json response = make_error(
-            std::string("malformed request: ") + e.what(), "bad_request");
-        if (!channel.write_line(response.dump())) break;
-        continue;
-      }
-      std::optional<Json> response = handle_request(*session, request);
-      if (response.has_value()) {
-        if (const Json* id = request.get("id")) response->set("id", *id);
-        if (!channel.write_line(response->dump())) break;
-      }
-      if (session->close_after_reply) break;
-    }
-  }
-  channel.shutdown();
-  session->done.store(true, std::memory_order_release);
-}
-
-std::optional<Json> Forwarder::handle_request(Session& session,
-                                              const Json& request) {
-  const Json* op_field = request.get("op");
-  if (op_field == nullptr || !op_field->is_string()) {
-    return make_error("request is missing string member 'op'", "bad_request");
-  }
-  const std::string& op = op_field->as_string();
-  if (op == "hello") {
-    const double protocol = request.get_number("protocol", -1);
-    if (protocol != static_cast<double>(kProtocolVersion)) {
-      session.close_after_reply = true;
-      return make_error("unsupported protocol version (server speaks " +
-                            std::to_string(kProtocolVersion) + ")",
-                        "unsupported_protocol");
-    }
-    session.greeted = true;
-    Json response = make_ok();
-    response.set("service", kServiceName);
-    response.set("protocol", kProtocolVersion);
-    response.set("version", kVersion);
-    response.set("role", "forwarder");
-    return response;
-  }
-  if (!session.greeted) {
-    return make_error("handshake required: send {\"op\":\"hello\","
-                      "\"protocol\":" +
-                          std::to_string(kProtocolVersion) + "} first",
-                      "bad_request");
-  }
-  if (op == "submit") return handle_submit(request);
-  if (op == "submit_batch") return handle_submit_batch(request);
-  if (op == "status") return handle_status(request);
-  if (op == "result") return handle_result(request);
-  if (op == "cancel") return handle_cancel(request);
-  if (op == "list") return handle_list();
-  if (op == "stats") return handle_stats();
-  if (op == "health") return handle_health();
-  if (op == "watch") return handle_watch(session, request);
-  if (op == "drain") return handle_drain(request);
-  if (op == "backend") return handle_backend(request);
-  return make_error("unknown op '" + op + "'", "bad_request");
-}
+// --- northbound ops ---------------------------------------------------------
 
 Json Forwarder::handle_submit(const Json& request) {
   const Json* spec_field = request.get("spec");
@@ -679,27 +564,9 @@ Json Forwarder::handle_submit(const Json& request) {
   sched::PlacementPolicy::Decision decision;
   {
     std::lock_guard lock(state_mutex_);
-    if (draining_.load(std::memory_order_relaxed)) {
-      m_rejected_.add();
-      return make_error("cluster is draining; not accepting new missions",
-                        "draining");
-    }
-    // Brownout shed: when every backend is saturated or cold, placing a
-    // default-priority mission would only bury it in someone's queue.
-    // Shed it with explicit backpressure instead; missions submitted
-    // with priority > 0 ride through and queue.
-    if (spec.priority <= 0 &&
-        sched::PlacementPolicy::saturated(target_snapshot_locked(),
-                                          spec.lanes)) {
-      m_rejected_.add();
-      m_shed_.add();
-      Json response = make_error(
-          "cluster saturated: every backend is full or down; low-priority "
-          "submit shed",
-          "queue_full");
-      response.set("shed", true);
-      response.set("retry_after_ms", shed_retry_after_ms_locked());
-      return response;
+    if (std::optional<Json> refused =
+            refuse_locked(1, spec.priority <= 0, spec.lanes, "submit")) {
+      return *refused;
     }
     decision = place_locked(spec);
     if (!decision.ok) {
@@ -724,34 +591,64 @@ Json Forwarder::handle_submit(const Json& request) {
     Json response = make_error(submitted.error, submitted.code);
     return response;
   }
-  auto route = std::make_shared<Route>();
-  route->spec = spec;
-  route->backend = decision.target;
-  route->backend_job = submitted.job;
   Json response = make_ok();
   {
     std::lock_guard lock(state_mutex_);
-    route->id = next_id_++;
-    route->placed_epoch = backends_[decision.target].epoch;
-    routes_.emplace(route->id, route);
-    response.set("job", route->id);
+    response.set("job", add_route_locked(spec, decision.target,
+                                         submitted.job));
   }
-  m_submitted_.add();
   response.set("name", spec.name);
   response.set("backend", static_cast<std::uint64_t>(decision.target));
   if (decision.affinity_hit) response.set("affinity", true);
   return response;
 }
 
+std::uint64_t Forwarder::add_route_locked(const sched::MissionSpec& spec,
+                                         std::size_t backend,
+                                         std::uint64_t backend_job) {
+  auto route = std::make_shared<Route>();
+  route->id = next_id_++;
+  route->spec = spec;
+  route->backend = backend;
+  route->backend_job = backend_job;
+  route->placed_epoch = backends_[backend].epoch;
+  routes_.emplace(route->id, route);
+  m_submitted_.add();
+  return route->id;
+}
+
+std::optional<Json> Forwarder::refuse_locked(std::size_t missions,
+                                             bool low_priority,
+                                             std::size_t lanes,
+                                             const char* what) {
+  if (draining_.load(std::memory_order_relaxed)) {
+    m_rejected_.add(missions);
+    return make_error("cluster is draining; not accepting new missions",
+                      "draining");
+  }
+  // Brownout shed: when every backend is saturated or cold, placing
+  // default-priority work would only bury it in someone's queue. Shed it
+  // with explicit backpressure instead; priority > 0 rides through.
+  if (low_priority &&
+      sched::PlacementPolicy::saturated(target_snapshot_locked(), lanes)) {
+    m_rejected_.add(missions);
+    m_shed_.add(missions);
+    Json response = make_error(
+        std::string("cluster saturated: every backend is full or down; "
+                    "low-priority ") +
+            what + " shed",
+        "queue_full");
+    response.set("shed", true);
+    response.set("retry_after_ms", shed_retry_after_ms_locked());
+    return response;
+  }
+  return std::nullopt;
+}
+
 Json Forwarder::handle_submit_batch(const Json& request) {
   std::vector<sched::MissionSpec> specs;
   const std::string parse_error = batch_specs_from_json(request, specs);
   if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
-  if (draining_.load(std::memory_order_relaxed)) {
-    m_rejected_.add(specs.size());
-    return make_error("cluster is draining; not accepting new missions",
-                      "draining");
-  }
   // Cluster batches are placed per-spec and submitted per-backend.
   // Admission is atomic WITHIN each backend but not across the cluster:
   // on a partial failure the already-accepted specs are best-effort
@@ -759,26 +656,17 @@ Json Forwarder::handle_submit_batch(const Json& request) {
   std::vector<std::size_t> placement(specs.size());
   {
     std::lock_guard lock(state_mutex_);
-    // Batch brownout mirrors the single-submit shed: a batch with no
-    // priority>0 spec is refused wholesale when the cluster is saturated
-    // (admission is atomic — shedding part of a batch would be worse
-    // than either outcome).
+    // A batch with no priority>0 spec is shed wholesale (admission is
+    // atomic — shedding part of a batch would be worse than either
+    // outcome).
     const bool all_low =
         std::all_of(specs.begin(), specs.end(),
                     [](const sched::MissionSpec& spec) {
                       return spec.priority <= 0;
                     });
-    if (all_low &&
-        sched::PlacementPolicy::saturated(target_snapshot_locked(), 1)) {
-      m_rejected_.add(specs.size());
-      m_shed_.add(specs.size());
-      Json response = make_error(
-          "cluster saturated: every backend is full or down; low-priority "
-          "batch shed",
-          "queue_full");
-      response.set("shed", true);
-      response.set("retry_after_ms", shed_retry_after_ms_locked());
-      return response;
+    if (std::optional<Json> refused =
+            refuse_locked(specs.size(), all_low, 1, "batch")) {
+      return *refused;
     }
     for (std::size_t i = 0; i < specs.size(); ++i) {
       const sched::PlacementPolicy::Decision decision =
@@ -846,16 +734,9 @@ Json Forwarder::handle_submit_batch(const Json& request) {
   {
     std::lock_guard lock(state_mutex_);
     for (std::size_t i = 0; i < specs.size(); ++i) {
-      auto route = std::make_shared<Route>();
-      route->id = next_id_++;
-      route->spec = specs[i];
-      route->backend = accepted[i]->backend;
-      route->backend_job = accepted[i]->backend_job;
-      route->placed_epoch = backends_[accepted[i]->backend].epoch;
-      routes_.emplace(route->id, route);
-      m_submitted_.add();
       Json entry = Json::object();
-      entry.set("job", route->id);
+      entry.set("job", add_route_locked(specs[i], accepted[i]->backend,
+                                        accepted[i]->backend_job));
       entry.set("name", specs[i].name);
       entry.set("backend", static_cast<std::uint64_t>(accepted[i]->backend));
       jobs.push_back(std::move(entry));
@@ -866,41 +747,13 @@ Json Forwarder::handle_submit_batch(const Json& request) {
   return response;
 }
 
-std::shared_ptr<Forwarder::Route> Forwarder::find_route(
-    const Json& request, std::string& error) const {
-  const Json* job_field = request.get("job");
-  if (job_field == nullptr) {
-    error = "request is missing 'job' (id or name)";
-    return nullptr;
-  }
-  std::lock_guard lock(state_mutex_);
-  if (job_field->is_number()) {
-    const double id = job_field->as_number();
-    const auto it = json_number_is_exact_int(id) && id >= 0
-                        ? routes_.find(static_cast<std::uint64_t>(id))
-                        : routes_.end();
-    if (it == routes_.end()) {
-      error = "no such job id " + job_field->dump();
-      return nullptr;
-    }
-    return it->second;
-  }
-  if (job_field->is_string()) {
-    const std::string& name = job_field->as_string();
-    for (auto it = routes_.rbegin(); it != routes_.rend(); ++it) {
-      if (it->second->spec.name == name) return it->second;
-    }
-    error = "no job named '" + name + "'";
-    return nullptr;
-  }
-  error = "'job' must be an id number or a name string";
-  return nullptr;
-}
-
-Json Forwarder::handle_status(const Json& request) {
-  std::string error;
-  const std::shared_ptr<Route> route = find_route(request, error);
-  if (route == nullptr) return make_error(error, "unknown_job");
+Json Forwarder::forward_job_op(const Json& request) {
+  Json error;
+  const std::shared_ptr<Route> route =
+      find_job(routes_, state_mutex_, request, error);
+  if (route == nullptr) return error;
+  const std::string op = request.get_string("op", "");
+  const bool status = op == "status";
   std::size_t backend;
   std::uint64_t backend_job;
   {
@@ -908,8 +761,10 @@ Json Forwarder::handle_status(const Json& request) {
     if (route->finished) {
       Json response = make_ok();
       response.set("job", route->id);
-      response.set("name", route->spec.name);
-      response.set("kind", sched::kind_name(route->spec.kind));
+      if (status) {
+        response.set("name", route->spec.name);
+        response.set("kind", sched::kind_name(route->spec.kind));
+      }
       response.set("status", route->final_status);
       return response;
     }
@@ -917,16 +772,18 @@ Json Forwarder::handle_status(const Json& request) {
     backend_job = route->backend_job;
   }
   try {
-    Client client = quick_client(backend);
-    Json response = client.status(backend_job);
-    const std::string status = response.get_string("status", "");
-    if (status != "queued" && status != "running" && status != "preempted" &&
-        response.get_bool("ok", false)) {
+    Json southbound = Json::object();
+    southbound.set("op", op);
+    southbound.set("job", backend_job);
+    Json response = quick_client(backend).request(southbound);
+    const std::string state = response.get_string("status", "");
+    if (status && state != "queued" && state != "running" &&
+        state != "preempted" && response.get_bool("ok", false)) {
       std::lock_guard lock(state_mutex_);
       if (route->backend == backend) release_route_locked(*route);
     }
     response.set("job", route->id);  // clients see the front id
-    response.set("backend", static_cast<std::uint64_t>(backend));
+    if (status) response.set("backend", static_cast<std::uint64_t>(backend));
     return response;
   } catch (const std::exception& e) {
     return make_error("backend " + std::to_string(backend) +
@@ -935,50 +792,41 @@ Json Forwarder::handle_status(const Json& request) {
   }
 }
 
-Json Forwarder::handle_result(const Json& request) {
-  std::string error;
-  const std::shared_ptr<Route> route = find_route(request, error);
-  if (route == nullptr) return make_error(error, "unknown_job");
+std::unique_lock<std::mutex> Forwarder::follow_route(
+    const std::shared_ptr<Route>& route,
+    const std::function<void(Client&, std::uint64_t backend_job)>& wait,
+    bool& reached) {
+  reached = false;
   for (;;) {
     std::size_t backend;
     std::uint64_t backend_job;
     std::uint64_t generation;
     {
-      std::lock_guard lock(state_mutex_);
-      if (route->finished) return route->final_result;
+      std::unique_lock lock(state_mutex_);
+      if (route->finished) return lock;
       backend = route->backend;
       backend_job = route->backend_job;
       generation = route->generation;
     }
     bool got = false;
-    Json response;
     try {
       // Unbounded IO: this wait follows the mission. A dying backend
       // resets the connection; an in-process failover moves the route's
       // generation and this incarnation's answer is discarded below.
       const BackendConfig target = backend_config(backend);
       Client client(target.port, target.address, /*io_timeout_ms=*/0);
-      response = client.result(backend_job);
+      wait(client, backend_job);
       got = true;
     } catch (const std::exception&) {
       got = false;
     }
     std::unique_lock lock(state_mutex_);
-    if (route->finished) return route->final_result;
+    if (route->finished) return lock;
     if (route->generation != generation) continue;  // re-resolve and rewait
     if (got) {
       release_route_locked(*route);  // terminal southbound: lanes are free
-      response.set("job", route->id);
-      response.set("name", route->spec.name);
-      response.set("backend", static_cast<std::uint64_t>(backend));
-      // First terminal answer WINS the route: concurrent waiters and any
-      // zombie incarnation that later wakes up all serve this exact
-      // payload, so exactly one execution's result is ever observable.
-      route->finished = true;
-      route->final_status = response.get_string("status", "");
-      route->final_result = response;
-      state_cv_.notify_all();
-      return response;
+      reached = true;
+      return lock;
     }
     // Connection lost with the route still on this incarnation: wait for
     // the poller to declare the backend down and fail the route over (or
@@ -989,103 +837,82 @@ Json Forwarder::handle_result(const Json& request) {
     });
     if (stopping_.load(std::memory_order_relaxed) && !route->finished &&
         route->generation == generation) {
-      return make_error("forwarder stopping", "backend_down");
+      return lock;
     }
   }
 }
 
-Json Forwarder::handle_cancel(const Json& request) {
-  std::string error;
-  const std::shared_ptr<Route> route = find_route(request, error);
-  if (route == nullptr) return make_error(error, "unknown_job");
-  std::size_t backend;
-  std::uint64_t backend_job;
-  {
-    std::lock_guard lock(state_mutex_);
-    if (route->finished) {
-      Json response = make_ok();
-      response.set("job", route->id);
-      response.set("status", route->final_status);
-      return response;
-    }
-    backend = route->backend;
-    backend_job = route->backend_job;
-  }
-  try {
-    Client client = quick_client(backend);
-    Json cancel = Json::object();
-    cancel.set("op", "cancel");
-    cancel.set("job", backend_job);
-    Json response = client.request(cancel);
-    response.set("job", route->id);
-    return response;
-  } catch (const std::exception& e) {
-    return make_error("backend " + std::to_string(backend) +
-                          " unreachable: " + e.what(),
-                      "backend_down");
-  }
+Json Forwarder::handle_result(const Json& request) {
+  Json error;
+  const std::shared_ptr<Route> route =
+      find_job(routes_, state_mutex_, request, error);
+  if (route == nullptr) return error;
+  Json response;
+  bool reached = false;
+  const std::unique_lock lock = follow_route(
+      route,
+      [&response](Client& client, std::uint64_t backend_job) {
+        response = client.result(backend_job);
+      },
+      reached);
+  if (route->finished) return route->final_result;
+  if (!reached) return make_error("forwarder stopping", "backend_down");
+  response.set("job", route->id);
+  response.set("name", route->spec.name);
+  response.set("backend", static_cast<std::uint64_t>(route->backend));
+  // First terminal answer WINS the route: concurrent waiters and any
+  // zombie incarnation that later wakes up all serve this exact payload,
+  // so exactly one execution's result is ever observable.
+  route->finished = true;
+  route->final_status = response.get_string("status", "");
+  route->final_result = response;
+  state_cv_.notify_all();
+  return response;
 }
 
 Json Forwarder::handle_list() {
-  struct Row {
-    std::shared_ptr<Route> route;
-    std::size_t backend = 0;
-    std::uint64_t backend_job = 0;
-    std::uint64_t placed_epoch = 0;
-    std::uint64_t failovers = 0;
-    bool finished = false;
-    std::string status;
-    std::uint64_t waves = 0;
-  };
-  std::vector<Row> rows;
+  // Snapshots taken under the lock; the southbound status calls run
+  // outside it.
+  std::vector<Route> rows;
   {
     std::lock_guard lock(state_mutex_);
     rows.reserve(routes_.size());
-    for (const auto& [id, route] : routes_) {
-      Row row;
-      row.route = route;
-      row.backend = route->backend;
-      row.backend_job = route->backend_job;
-      row.placed_epoch = route->placed_epoch;
-      row.failovers = route->failovers;
-      row.finished = route->finished;
-      if (route->finished) row.status = route->final_status;
-      rows.push_back(std::move(row));
-    }
+    for (const auto& [id, route] : routes_) rows.push_back(*route);
   }
   // One southbound connection per backend per list call, reused across
   // that backend's rows.
   std::map<std::size_t, std::unique_ptr<Client>> clients;
-  for (Row& row : rows) {
-    if (row.finished) continue;
-    try {
-      auto it = clients.find(row.backend);
-      if (it == clients.end()) {
-        const BackendConfig endpoint = backend_config(row.backend);
-        it = clients
-                 .emplace(row.backend,
-                          std::make_unique<Client>(endpoint.port,
-                                                   endpoint.address,
-                                                   config_.io_timeout_ms))
-                 .first;
-      }
-      const Json status = it->second->status(row.backend_job);
-      row.status = status.get_string("status", "unknown");
-      row.waves = static_cast<std::uint64_t>(status.get_number("waves", 0));
-    } catch (const std::exception&) {
-      clients.erase(row.backend);
-      row.status = "unreachable";
-    }
-  }
   Json jobs = Json::array();
-  for (const Row& row : rows) {
+  for (const Route& row : rows) {
+    std::string status = row.final_status;
+    std::uint64_t waves = 0;
+    if (!row.finished) {
+      try {
+        auto it = clients.find(row.backend);
+        if (it == clients.end()) {
+          const BackendConfig endpoint = backend_config(row.backend);
+          it = clients
+                   .emplace(row.backend,
+                            std::make_unique<Client>(endpoint.port,
+                                                     endpoint.address,
+                                                     config_.io_timeout_ms))
+                   .first;
+        }
+        const Json reply = it->second->status(row.backend_job);
+        status = reply.get_string("status", "unknown");
+        waves = static_cast<std::uint64_t>(reply.get_number("waves", 0));
+      } catch (const std::exception&) {
+        clients.erase(row.backend);
+        status = "unreachable";
+      }
+    }
     Json entry = Json::object();
-    entry.set("job", row.route->id);
-    entry.set("name", row.route->spec.name);
-    entry.set("kind", sched::kind_name(row.route->spec.kind));
-    entry.set("lanes", static_cast<std::uint64_t>(row.route->spec.lanes));
-    entry.set("status", row.status);
-    entry.set("waves", row.waves);
+    entry.set("job", row.id);
+    entry.set("name", row.spec.name);
+    entry.set("kind", sched::kind_name(row.spec.kind));
+    entry.set("lanes", static_cast<std::uint64_t>(row.spec.lanes));
+    entry.set("status", status);
+    entry.set("waves", waves);
     entry.set("backend", static_cast<std::uint64_t>(row.backend));
     if (row.placed_epoch != 0) entry.set("epoch", row.placed_epoch);
     if (row.failovers != 0) entry.set("failovers", row.failovers);
@@ -1107,11 +934,7 @@ Json Forwarder::handle_stats() {
     std::lock_guard lock(state_mutex_);
     for (std::size_t i = 0; i < backends_.size(); ++i) {
       const BackendState& backend = backends_[i];
-      Json entry = Json::object();
-      entry.set("backend", static_cast<std::uint64_t>(i));
-      entry.set("address", backend_configs_[i].address);
-      entry.set("port",
-                static_cast<std::uint64_t>(backend_configs_[i].port));
+      Json entry = backend_head(i, backend_configs_[i]);
       entry.set("reachable", backend.target.reachable);
       entry.set("polls", backend.polls);
       if (backend.removed) {
@@ -1194,40 +1017,19 @@ Json Forwarder::handle_health() {
   // is a warning, down is a failure — the health op separates them.
   const std::uint64_t stale_after_ms =
       2 * static_cast<std::uint64_t>(config_.poll_ms);
-  struct Probe {
-    std::size_t index = 0;
-    BackendConfig endpoint;
-    bool reachable = false;
-    bool removed = false;
-    std::uint64_t last_good_ns = 0;
-    std::uint64_t epoch = 0;
-    std::string instance_id;
-    std::string last_fence;
-  };
-  std::vector<Probe> probes;
+  // Snapshots taken under the lock; the health probes run outside it.
+  std::vector<BackendConfig> endpoints;
+  std::vector<BackendState> states;
   {
     std::lock_guard lock(state_mutex_);
-    probes.reserve(backends_.size());
-    for (std::size_t i = 0; i < backends_.size(); ++i) {
-      Probe probe;
-      probe.index = i;
-      probe.endpoint = backend_configs_[i];
-      probe.reachable = backends_[i].target.reachable;
-      probe.removed = backends_[i].removed;
-      probe.last_good_ns = backends_[i].last_good_poll_ns;
-      probe.epoch = backends_[i].epoch;
-      probe.instance_id = backends_[i].instance_id;
-      probe.last_fence = backends_[i].last_fence;
-      probes.push_back(std::move(probe));
-    }
+    endpoints.assign(backend_configs_.begin(), backend_configs_.end());
+    states.assign(backends_.begin(), backends_.end());
   }
-  for (const Probe& probe : probes) {
-    bool reachable = probe.reachable;
-    Json entry = Json::object();
-    entry.set("backend", static_cast<std::uint64_t>(probe.index));
-    entry.set("address", probe.endpoint.address);
-    entry.set("port", static_cast<std::uint64_t>(probe.endpoint.port));
-    if (probe.removed) {
+  for (std::size_t i = 0; i < states.size(); ++i) {
+    const BackendState& state = states[i];
+    bool reachable = state.target.reachable;
+    Json entry = backend_head(i, endpoints[i]);
+    if (state.removed) {
       // Tombstones are membership history, not failures: visible but
       // never probed and not counted unreachable.
       entry.set("removed", true);
@@ -1235,22 +1037,22 @@ Json Forwarder::handle_health() {
       backends.push_back(std::move(entry));
       continue;
     }
-    if (probe.epoch != 0) {
-      entry.set("epoch", probe.epoch);
-      entry.set("instance_id", probe.instance_id);
+    if (state.epoch != 0) {
+      entry.set("epoch", state.epoch);
+      entry.set("instance_id", state.instance_id);
     }
-    if (!probe.last_fence.empty()) {
-      entry.set("last_fence", probe.last_fence);
+    if (!state.last_fence.empty()) {
+      entry.set("last_fence", state.last_fence);
     }
     std::uint64_t poll_age_ms = 0;
-    const std::uint64_t last_good_ns = probe.last_good_ns;
+    const std::uint64_t last_good_ns = state.last_good_poll_ns;
     if (last_good_ns != 0) {
       poll_age_ms = (now_ns - last_good_ns) / 1000000;
       entry.set("poll_age_ms", poll_age_ms);
     }
     if (reachable) {
       try {
-        Client client = quick_client(probe.index);
+        Client client = quick_client(i);
         Json request = Json::object();
         request.set("op", "health");
         const Json health = client.request(request);
@@ -1292,11 +1094,7 @@ Json Forwarder::handle_backend(const Json& request) {
     std::lock_guard lock(state_mutex_);
     for (std::size_t i = 0; i < backends_.size(); ++i) {
       const BackendState& backend = backends_[i];
-      Json entry = Json::object();
-      entry.set("backend", static_cast<std::uint64_t>(i));
-      entry.set("address", backend_configs_[i].address);
-      entry.set("port",
-                static_cast<std::uint64_t>(backend_configs_[i].port));
+      Json entry = backend_head(i, backend_configs_[i]);
       entry.set("reachable", backend.target.reachable);
       entry.set("removed", backend.removed);
       if (!backend.instance_id.empty()) {
@@ -1394,28 +1192,16 @@ Json Forwarder::handle_backend(const Json& request) {
       "bad_request");
 }
 
-std::optional<Json> Forwarder::handle_watch(Session& session,
-                                            const Json& request) {
-  std::string error;
-  const std::shared_ptr<Route> route = find_route(request, error);
-  if (route == nullptr) return make_error(error, "unknown_job");
-  const double every_field = request.get_number("every", 1);
-  const std::uint64_t every =
-      json_number_is_exact_int(every_field) && every_field >= 1
-          ? static_cast<std::uint64_t>(every_field)
-          : 1;
-  const std::shared_ptr<LineChannel> channel = session.channel;
-  std::uint64_t front_id;
-  {
-    std::lock_guard lock(state_mutex_);
-    front_id = route->id;
-  }
+std::optional<Json> Forwarder::handle_watch(
+    const Json& request, const Endpoint::Channel& channel) {
+  Json error;
+  const std::shared_ptr<Route> route =
+      find_job(routes_, state_mutex_, request, error);
+  if (route == nullptr) return error;
+  const std::uint64_t every = watch_every(request);
   Json ack = make_ok();
-  ack.set("job", front_id);
-  {
-    std::lock_guard lock(state_mutex_);
-    ack.set("watching", route->spec.name);
-  }
+  ack.set("job", route->id);
+  ack.set("watching", route->spec.name);
   if (const Json* id = request.get("id")) ack.set("id", *id);
   bool acked = false;
   const auto send_ack = [&] {
@@ -1423,70 +1209,39 @@ std::optional<Json> Forwarder::handle_watch(Session& session,
     acked = true;
     static_cast<void>(channel->write_line(ack.dump()));
   };
-  for (;;) {
-    std::size_t backend;
-    std::uint64_t backend_job;
-    std::uint64_t generation;
-    {
-      std::lock_guard lock(state_mutex_);
-      if (route->finished) {
-        send_ack();
-        Json frame = Json::object();
-        frame.set("event", "done");
-        frame.set("job", front_id);
-        frame.set("status", route->final_status);
-        frame.set("waves", static_cast<std::uint64_t>(0));
-        static_cast<void>(channel->write_line(frame.dump()));
-        return std::nullopt;
-      }
-      backend = route->backend;
-      backend_job = route->backend_job;
-      generation = route->generation;
-    }
-    std::string final_status;
-    bool got = false;
-    try {
-      // Unbounded IO, same as result: the stream follows the mission.
-      const BackendConfig target = backend_config(backend);
-      Client client(target.port, target.address, /*io_timeout_ms=*/0);
-      final_status = client.watch(
-          backend_job,
-          [&](std::uint64_t waves) {
-            send_ack();  // subscribed southbound -> northbound is live
-            Json frame = Json::object();
-            frame.set("event", "progress");
-            frame.set("job", front_id);
-            frame.set("waves", waves);
-            static_cast<void>(channel->write_line(frame.dump()));
-          },
-          every, [&] { send_ack(); });
-      got = true;
-    } catch (const std::exception&) {
-      got = false;
-    }
-    std::unique_lock lock(state_mutex_);
-    if (route->generation != generation) continue;  // moved: re-subscribe
-    if (route->finished) continue;  // serve the terminal frame above
-    if (got) {
-      release_route_locked(*route);  // watch ended terminal southbound
-      lock.unlock();
-      send_ack();
-      Json frame = Json::object();
-      frame.set("event", "done");
-      frame.set("job", front_id);
-      frame.set("status", final_status);
-      static_cast<void>(channel->write_line(frame.dump()));
-      return std::nullopt;
-    }
-    state_cv_.wait_for(lock, std::chrono::milliseconds(250), [&] {
-      return route->finished || route->generation != generation ||
-             stopping_.load(std::memory_order_relaxed);
-    });
-    if (stopping_.load(std::memory_order_relaxed) && !route->finished &&
-        route->generation == generation) {
-      return make_error("forwarder stopping", "backend_down");
-    }
+  std::string final_status;
+  bool reached = false;
+  std::unique_lock lock = follow_route(
+      route,
+      [&](Client& client, std::uint64_t backend_job) {
+        final_status = client.watch(
+            backend_job,
+            [&](std::uint64_t waves) {
+              send_ack();  // subscribed southbound -> northbound is live
+              Json frame = Json::object();
+              frame.set("event", "progress");
+              frame.set("job", route->id);
+              frame.set("waves", waves);
+              static_cast<void>(channel->write_line(frame.dump()));
+            },
+            every, [&] { send_ack(); });
+      },
+      reached);
+  Json done = Json::object();
+  done.set("event", "done");
+  done.set("job", route->id);
+  if (route->finished) {
+    done.set("status", route->final_status);
+    done.set("waves", static_cast<std::uint64_t>(0));
+  } else if (reached) {
+    done.set("status", final_status);
+  } else {
+    return make_error("forwarder stopping", "backend_down");
   }
+  lock.unlock();
+  send_ack();
+  static_cast<void>(channel->write_line(done.dump()));
+  return std::nullopt;
 }
 
 Json Forwarder::handle_drain(const Json& request) {

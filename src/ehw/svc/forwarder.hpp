@@ -38,6 +38,7 @@
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
+#include <functional>
 #include <map>
 #include <memory>
 #include <mutex>
@@ -49,8 +50,8 @@
 #include "ehw/obs/metrics.hpp"
 #include "ehw/sched/placement.hpp"
 #include "ehw/svc/client.hpp"
+#include "ehw/svc/endpoint.hpp"
 #include "ehw/svc/protocol.hpp"
-#include "ehw/svc/socket.hpp"
 
 namespace ehw::svc {
 
@@ -62,10 +63,9 @@ struct BackendConfig {
   std::string journal_dir;
 };
 
-struct ForwarderConfig {
-  /// Northbound bind address/port (0 = ephemeral, see Forwarder::port()).
-  std::string address = "127.0.0.1";
-  std::uint16_t port = 0;
+/// Northbound endpoint fields (address, port, max_line,
+/// idle_timeout_ms) come from EndpointConfig.
+struct ForwarderConfig : EndpointConfig {
   std::vector<BackendConfig> backends;
   /// Backend stats-poll cadence (placement freshness + liveness).
   int poll_ms = 250;
@@ -75,10 +75,6 @@ struct ForwarderConfig {
   /// Blocking ops (result/watch) always run unbounded and rely on the
   /// peer's death resetting the connection.
   int io_timeout_ms = 5000;
-  /// Northbound per-session frame-length bound; 0 = LineChannel default.
-  std::size_t max_line = 0;
-  /// Northbound idle-session bound (ms); 0 = disabled. See ServerConfig.
-  int idle_timeout_ms = 0;
 };
 
 /// Point-in-time forwarder counters (the "stats" op's cluster.forwarder
@@ -114,7 +110,9 @@ class Forwarder {
   Forwarder(const Forwarder&) = delete;
   Forwarder& operator=(const Forwarder&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return endpoint_->port();
+  }
   [[nodiscard]] const ForwarderConfig& config() const noexcept {
     return config_;
   }
@@ -220,25 +218,26 @@ class Forwarder {
     std::size_t opt_lanes = 0;
     std::size_t opt_jobs = 0;
   };
-  struct Session {
-    explicit Session(Socket socket)
-        : channel(std::make_shared<LineChannel>(std::move(socket))) {}
-    std::shared_ptr<LineChannel> channel;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    bool greeted = false;            // session-thread only
-    bool close_after_reply = false;  // session-thread only
-  };
-
-  void accept_loop();
-  void session_loop(Session* session);
-  [[nodiscard]] std::optional<Json> handle_request(Session& session,
-                                                   const Json& request);
   [[nodiscard]] Json handle_submit(const Json& request);
   [[nodiscard]] Json handle_submit_batch(const Json& request);
-  [[nodiscard]] Json handle_status(const Json& request);
+  /// Caller holds state_mutex_. The refusals submit and submit_batch
+  /// share: draining, then the brownout shed of low-priority work (`what`
+  /// names it in the reply) when no backend can take `lanes` now.
+  /// nullopt admits.
+  [[nodiscard]] std::optional<Json> refuse_locked(std::size_t missions,
+                                                  bool low_priority,
+                                                  std::size_t lanes,
+                                                  const char* what);
+  /// Caller holds state_mutex_. Registers a mission the backend
+  /// accepted and returns its front id.
+  std::uint64_t add_route_locked(const sched::MissionSpec& spec,
+                                 std::size_t backend,
+                                 std::uint64_t backend_job);
+  /// The status and cancel ops: answered here once the route finished,
+  /// else forwarded (same op) to the route's current backend job, the
+  /// reply carrying the front id.
+  [[nodiscard]] Json forward_job_op(const Json& request);
   [[nodiscard]] Json handle_result(const Json& request);
-  [[nodiscard]] Json handle_cancel(const Json& request);
   [[nodiscard]] Json handle_list();
   [[nodiscard]] Json handle_stats();
   [[nodiscard]] Json handle_health();
@@ -247,13 +246,23 @@ class Forwarder {
   /// (indices are never reused — routes keep their backend index) and
   /// fails the victim's unfinished routes over to the survivors.
   [[nodiscard]] Json handle_backend(const Json& request);
-  [[nodiscard]] std::optional<Json> handle_watch(Session& session,
-                                                 const Json& request);
+  [[nodiscard]] std::optional<Json> handle_watch(
+      const Json& request, const Endpoint::Channel& channel);
+  /// The wait result and watch share: runs `wait` (one blocking
+  /// southbound call, throwing when the connection drops) against the
+  /// route's current incarnation over an unbounded connection, and
+  /// follows the route across failovers until it settles. Returns
+  /// holding state_mutex_ with the route finished here, or with
+  /// `reached` set when `wait` returned on the incarnation that still
+  /// owns the route (its lanes handed back), or with neither once the
+  /// forwarder is stopping.
+  [[nodiscard]] std::unique_lock<std::mutex> follow_route(
+      const std::shared_ptr<Route>& route,
+      const std::function<void(Client&, std::uint64_t backend_job)>& wait,
+      bool& reached);
   [[nodiscard]] Json handle_drain(const Json& request);
   /// Polls until no route is queued/running on its backend (drain-wait).
   void wait_routes_idle();
-  [[nodiscard]] std::shared_ptr<Route> find_route(const Json& request,
-                                                  std::string& error) const;
 
   /// Quick southbound connection (io_timeout-bounded).
   [[nodiscard]] Client quick_client(std::size_t backend) const;
@@ -301,7 +310,6 @@ class Forwarder {
   void refresh_gauges();
 
   ForwarderConfig config_;
-  std::uint16_t port_ = 0;
 
   // Telemetry. Declared before every thread that records into it; the
   // counter references REPLACE the old guarded tallies (the wire shape
@@ -334,13 +342,10 @@ class Forwarder {
 
   sched::PlacementPolicy placement_;
 
-  std::unique_ptr<Listener> listener_;
-  std::thread acceptor_;
+  std::unique_ptr<Endpoint> endpoint_;
   std::thread poller_;
   std::mutex poll_mutex_;
   std::condition_variable poll_cv_;
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
 };
 
 }  // namespace ehw::svc

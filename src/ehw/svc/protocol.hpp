@@ -13,11 +13,18 @@
 // {"ok":false,"error":<message>,"code":<machine tag>}. Codes the client
 // can dispatch on: "queue_full" (admission control), "draining" (drain
 // was requested), "bad_spec", "unknown_job", "bad_request",
-// "unsupported_protocol".
+// "unsupported_protocol", "oversize_frame" (a frame past the line
+// limit; the connection closes), "idle_timeout" (no request within the
+// idle bound; the connection closes), and from a forwarder "no_backend"
+// (no backend can take the mission) and "backend_down" (the mission's
+// backend is unreachable). The session layer — greeting, handshake,
+// framing errors, idle bound — is svc::Endpoint's (endpoint.hpp).
 //
 // Ops: hello, submit, submit_batch, status, result (blocks until the job
-// finishes), cancel, list, stats, watch (streams
-// {"event":"progress"|"done"} frames after its ok-response), drain.
+// finishes), cancel, list, stats, health, watch (streams
+// {"event":"progress"|"done"} frames after its ok-response), drain;
+// trace (span rings, `mpa serve` only) and backend (live membership,
+// `mpa forward` only).
 //
 // Submit payloads reuse the batch-manifest vocabulary: {"op":"submit",
 // "spec":{"kind":"denoise","name":"dn0","lanes":2,"generations":300,...}}

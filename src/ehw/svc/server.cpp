@@ -16,15 +16,12 @@
 namespace ehw::svc {
 namespace {
 
-Json greeting_frame(const std::string& instance_id, std::uint64_t epoch) {
-  Json frame = Json::object();
-  frame.set("event", "hello");
-  frame.set("service", kServiceName);
-  frame.set("protocol", kProtocolVersion);
-  frame.set("version", kVersion);
-  frame.set("instance_id", instance_id);
-  frame.set("epoch", epoch);
-  return frame;
+/// Result body of a mission that failed before producing an outcome.
+Json failed_result(const std::string& error) {
+  Json body = Json::object();
+  body.set("status", status_name(sched::JobStatus::kFailed));
+  body.set("error", error);
+  return body;
 }
 
 /// One pool-counters object (the "pool" aggregate and each "pools" row
@@ -73,9 +70,25 @@ Server::Server(ServerConfig config) : config_(std::move(config)) {
   // incarnation already see every surviving job, and resumed missions
   // are back in flight before the first new submit competes for lanes.
   replay_journal();
-  listener_ = std::make_unique<Listener>(config_.address, config_.port);
-  port_ = listener_->port();
-  acceptor_ = std::thread([this] { accept_loop(); });
+  Json hello = Json::object();
+  hello.set("instance_id", instance_id_);
+  hello.set("epoch", epoch_);
+  Endpoint::Ops ops = {
+      {"submit", Endpoint::op(this, &Server::handle_submit)},
+      {"submit_batch", Endpoint::op(this, &Server::handle_submit_batch)},
+      {"status", Endpoint::op(this, &Server::handle_status)},
+      {"result", Endpoint::op(this, &Server::handle_result)},
+      {"cancel", Endpoint::op(this, &Server::handle_cancel)},
+      {"list", Endpoint::op(this, &Server::handle_list)},
+      {"stats", Endpoint::op(this, &Server::handle_stats)},
+      {"health", Endpoint::op(this, &Server::handle_health)},
+      {"drain", Endpoint::op(this, &Server::handle_drain)},
+      {"trace", Endpoint::op(this, &Server::handle_trace)},
+      {"watch", Endpoint::op(this, &Server::handle_watch)},
+  };
+  endpoint_ = std::make_unique<Endpoint>(config_, std::move(hello),
+                                         std::move(ops), m_connections_);
+  endpoint_->start();
 }
 
 Server::~Server() { stop(); }
@@ -213,36 +226,21 @@ void Server::replay_journal() {
     auto record = std::make_shared<JobRecord>();
     record->id = id;
     record->spec = job.spec;
+    // Unfinished across the crash: lane demand is re-validated against
+    // THIS pool layout (a restart may have shrunk it); a mission that no
+    // longer fits finishes failed here.
+    if (const std::string lanes = lanes_error(record->spec);
+        !job.finished && !lanes.empty()) {
+      job.finished = true;
+      job.status = status_name(sched::JobStatus::kFailed);
+      job.result = failed_result("recovery: " + lanes);
+      journal_finished(id, sched::JobStatus::kFailed, 0, job.result);
+    }
     if (job.finished) {
       record->journaled = std::move(job.result);
       record->journal_status =
           job.status.empty() ? std::string("failed") : job.status;
       record->journal_waves = job.waves;
-      record->replayed_from_journal = true;
-      ++replayed_finished_;
-      std::lock_guard lock(state_mutex_);
-      jobs_.emplace(id, std::move(record));
-      continue;
-    }
-    // Unfinished across the crash: lane demand is re-validated against
-    // THIS pool layout (a restart may have shrunk it). Lanes are capped
-    // per pool — a lease never spans pools.
-    if (record->spec.lanes > group_->arrays_per_pool()) {
-      Json body = Json::object();
-      body.set("status", status_name(sched::JobStatus::kFailed));
-      body.set("error",
-               "recovery: lanes=" + std::to_string(record->spec.lanes) +
-                   " exceeds the pool's " +
-                   std::to_string(group_->arrays_per_pool()) + " arrays");
-      Json rec = Json::object();
-      rec.set("rec", "finished");
-      rec.set("job", id);
-      rec.set("status", status_name(sched::JobStatus::kFailed));
-      rec.set("waves", static_cast<std::uint64_t>(0));
-      rec.set("result", body);
-      static_cast<void>(journal_->append(rec));
-      record->journaled = std::move(body);
-      record->journal_status = status_name(sched::JobStatus::kFailed);
       record->replayed_from_journal = true;
       ++replayed_finished_;
       std::lock_guard lock(state_mutex_);
@@ -285,6 +283,19 @@ void Server::journal_submitted(const JobRecord& record) {
   static_cast<void>(journal_->append(rec));
 }
 
+void Server::journal_finished(std::uint64_t id, sched::JobStatus status,
+                              std::uint64_t waves, const Json& result) {
+  if (journal_ == nullptr) return;
+  Json rec = Json::object();
+  rec.set("rec", "finished");
+  rec.set("job", id);
+  rec.set("status", status_name(status));
+  rec.set("waves", waves);
+  rec.set("result", result);
+  static_cast<void>(journal_->append(rec));
+  static_cast<void>(remove_file(journal_->checkpoint_path(id)));
+}
+
 void Server::drain() {
   {
     std::lock_guard lock(state_mutex_);
@@ -302,29 +313,11 @@ void Server::wait_drained() {
 
 void Server::stop() {
   if (stopped_) return;
-  stopping_.store(true, std::memory_order_relaxed);
-  // The acceptor polls with a short timeout and re-checks stopping_, so
-  // join it FIRST and only then close the listener fd — closing while
-  // the acceptor is inside poll/accept would race on the descriptor.
-  if (acceptor_.joinable()) acceptor_.join();
-  if (listener_ != nullptr) listener_->close();
-  // Take the sessions out under the lock but JOIN them outside it: a
-  // session thread may be inside the "stats" handler, which locks
-  // sessions_mutex_ via service_stats() — joining while holding it
-  // would deadlock. The acceptor is already joined, so nothing else
-  // appends to sessions_.
-  std::vector<std::unique_ptr<Session>> to_join;
-  {
-    std::lock_guard lock(sessions_mutex_);
-    to_join.swap(sessions_);
-  }
-  for (const auto& session : to_join) session->channel->shutdown();
+  endpoint_->close();
   // Let in-flight jobs finish first: sessions blocked in a "result" op
   // only unblock when their job does.
   group_->wait_all();
-  for (const auto& session : to_join) {
-    if (session->thread.joinable()) session->thread.join();
-  }
+  endpoint_->join();
   // A session may have submitted between the first wait and its join.
   group_->wait_all();
   // Durable daemons snapshot memo + cache recipes on the way out; the
@@ -338,14 +331,7 @@ void Server::stop() {
 
 ServiceStats Server::service_stats() const {
   ServiceStats stats;
-  {
-    std::lock_guard lock(sessions_mutex_);
-    for (const auto& session : sessions_) {
-      if (!session->done.load(std::memory_order_relaxed)) {
-        ++stats.sessions_open;
-      }
-    }
-  }
+  stats.sessions_open = endpoint_->sessions_open();
   {
     std::lock_guard lock(state_mutex_);
     stats.inflight = inflight_;
@@ -382,134 +368,6 @@ JournalStats Server::journal_stats() const {
   return stats;
 }
 
-void Server::accept_loop() {
-  while (!stopping_.load(std::memory_order_relaxed)) {
-    std::optional<Socket> socket = listener_->accept_one(/*timeout_ms=*/100);
-    if (!socket.has_value()) continue;
-    // A client that stops reading must not wedge the job thread writing
-    // its progress events (or a session reply) forever: bound the stall,
-    // then the channel poisons itself and the subscription goes quiet.
-    socket->set_send_timeout(/*timeout_ms=*/10000);
-    auto session = std::make_unique<Session>(std::move(*socket));
-    Session* raw = session.get();
-    {
-      std::lock_guard lock(sessions_mutex_);
-      // Reap sessions whose threads already finished.
-      auto alive = sessions_.begin();
-      for (auto& existing : sessions_) {
-        if (existing->done.load(std::memory_order_acquire) &&
-            existing->thread.joinable()) {
-          existing->thread.join();
-          continue;
-        }
-        *alive++ = std::move(existing);
-      }
-      sessions_.erase(alive, sessions_.end());
-      sessions_.push_back(std::move(session));
-    }
-    m_connections_.add();
-    raw->thread = std::thread([this, raw] { session_loop(raw); });
-  }
-}
-
-void Server::session_loop(Session* session) {
-  LineChannel& channel = *session->channel;
-  channel.set_max_line(config_.max_line);
-  if (config_.idle_timeout_ms > 0) {
-    channel.set_recv_timeout(config_.idle_timeout_ms);
-  }
-  if (channel.write_line(greeting_frame(instance_id_, epoch_).dump())) {
-    std::string line;
-    for (;;) {
-      const LineChannel::ReadStatus read = channel.read_frame(line);
-      if (read == LineChannel::ReadStatus::kOversize) {
-        // Clean protocol error, then close: framing is unrecoverable
-        // past a frame that never ended (and the buffer was dropped, so
-        // memory stayed bounded).
-        const Json response = make_error(
-            "frame exceeds the " + std::to_string(channel.max_line()) +
-                " byte line limit",
-            "oversize_frame");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read == LineChannel::ReadStatus::kTimeout) {
-        const Json response = make_error(
-            "idle timeout: no request within " +
-                std::to_string(config_.idle_timeout_ms) + " ms",
-            "idle_timeout");
-        static_cast<void>(channel.write_line(response.dump()));
-        break;
-      }
-      if (read != LineChannel::ReadStatus::kLine) break;  // closed
-      Json request;
-      try {
-        request = Json::parse(line);
-        if (!request.is_object()) {
-          throw JsonError("request must be a JSON object", 0);
-        }
-      } catch (const JsonError& e) {
-        const Json response = make_error(
-            std::string("malformed request: ") + e.what(), "bad_request");
-        if (!channel.write_line(response.dump())) break;
-        continue;
-      }
-      std::optional<Json> response = handle_request(*session, request);
-      if (response.has_value()) {
-        if (const Json* id = request.get("id")) response->set("id", *id);
-        if (!channel.write_line(response->dump())) break;
-      }
-      if (session->close_after_reply) break;
-    }
-  }
-  channel.shutdown();
-  session->done.store(true, std::memory_order_release);
-}
-
-std::optional<Json> Server::handle_request(Session& session,
-                                           const Json& request) {
-  const Json* op_field = request.get("op");
-  if (op_field == nullptr || !op_field->is_string()) {
-    return make_error("request is missing string member 'op'", "bad_request");
-  }
-  const std::string& op = op_field->as_string();
-  if (op == "hello") {
-    const double protocol = request.get_number("protocol", -1);
-    if (protocol != static_cast<double>(kProtocolVersion)) {
-      session.close_after_reply = true;
-      return make_error("unsupported protocol version (server speaks " +
-                            std::to_string(kProtocolVersion) + ")",
-                        "unsupported_protocol");
-    }
-    session.greeted = true;
-    Json response = make_ok();
-    response.set("service", kServiceName);
-    response.set("protocol", kProtocolVersion);
-    response.set("version", kVersion);
-    response.set("instance_id", instance_id_);
-    response.set("epoch", epoch_);
-    return response;
-  }
-  if (!session.greeted) {
-    return make_error("handshake required: send {\"op\":\"hello\","
-                      "\"protocol\":" +
-                          std::to_string(kProtocolVersion) + "} first",
-                      "bad_request");
-  }
-  if (op == "submit") return handle_submit(request);
-  if (op == "submit_batch") return handle_submit_batch(request);
-  if (op == "status") return handle_status(request);
-  if (op == "result") return handle_result(request);
-  if (op == "cancel") return handle_cancel(request);
-  if (op == "list") return handle_list();
-  if (op == "stats") return handle_stats();
-  if (op == "health") return handle_health();
-  if (op == "watch") return handle_watch(session, request);
-  if (op == "drain") return handle_drain(request);
-  if (op == "trace") return handle_trace(request);
-  return make_error("unknown op '" + op + "'", "bad_request");
-}
-
 Json Server::handle_submit(const Json& request) {
   EHW_TRACE_SPAN("submit");
   const std::uint64_t admit_start_ns = obs::Tracer::now_ns();
@@ -517,70 +375,123 @@ Json Server::handle_submit(const Json& request) {
   if (spec_field == nullptr) {
     return make_error("submit needs a 'spec' object", "bad_request");
   }
-  sched::MissionSpec spec;
-  const std::string spec_error = spec_from_json(*spec_field, spec);
+  auto record = std::make_shared<JobRecord>();
+  const std::string spec_error = spec_from_json(*spec_field, record->spec);
   if (!spec_error.empty()) return make_error(spec_error, "bad_spec");
-  if (spec.lanes > group_->arrays_per_pool()) {
-    return make_error("lanes=" + std::to_string(spec.lanes) +
-                          " exceeds the pool's " +
-                          std::to_string(group_->arrays_per_pool()) +
-                          " arrays",
-                      "bad_spec");
+  if (const std::string lanes = lanes_error(record->spec); !lanes.empty()) {
+    return make_error(lanes, "bad_spec");
   }
   // Optional resume state (protocol v1, additive): a checkpoint emitted
   // by a previous incarnation of this mission — how the forwarder fails
   // a half-run mission over to a surviving backend without losing its
   // generations. Malformed state rejects the submit; silently starting
   // from scratch would hide the data loss.
-  std::shared_ptr<platform::MissionCheckpoint> resume;
   if (const Json* resume_field = request.get("resume")) {
-    resume = std::make_shared<platform::MissionCheckpoint>();
+    auto resume = std::make_shared<platform::MissionCheckpoint>();
     const std::string resume_error =
         platform::mission_checkpoint_from_json(*resume_field, *resume);
     if (!resume_error.empty()) {
       return make_error("bad resume checkpoint: " + resume_error,
                         "bad_request");
     }
+    record->resume = std::move(resume);
   }
-  auto record = std::make_shared<JobRecord>();
-  record->spec = spec;
-  record->resume = std::move(resume);
+  record->submitted_ns = admit_start_ns;
+  if (std::optional<Json> refused = admit({record}, /*batch=*/false)) {
+    return *refused;
+  }
+  Json response = make_ok();
+  response.set("job", record->id);
+  response.set("name", record->spec.name);
+  return response;
+}
+
+Json Server::handle_submit_batch(const Json& request) {
+  EHW_TRACE_SPAN("submit");
+  const std::uint64_t admit_start_ns = obs::Tracer::now_ns();
+  std::vector<sched::MissionSpec> specs;
+  const std::string parse_error = batch_specs_from_json(request, specs);
+  if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
+  std::vector<std::shared_ptr<JobRecord>> records;
+  records.reserve(specs.size());
+  for (std::size_t i = 0; i < specs.size(); ++i) {
+    if (const std::string lanes = lanes_error(specs[i]); !lanes.empty()) {
+      return make_error("spec " + std::to_string(i) + ": " + lanes,
+                        "bad_spec");
+    }
+    auto record = std::make_shared<JobRecord>();
+    record->spec = std::move(specs[i]);
+    record->submitted_ns = admit_start_ns;
+    records.push_back(std::move(record));
+  }
+  // Atomic admission: the batch reserves all its inflight slots or none,
+  // so a swarm client never has to unpick a half-accepted manifest.
+  if (std::optional<Json> refused = admit(records, /*batch=*/true)) {
+    return *refused;
+  }
+  Json jobs = Json::array();
+  for (const std::shared_ptr<JobRecord>& record : records) {
+    Json entry = Json::object();
+    entry.set("job", record->id);
+    entry.set("name", record->spec.name);
+    jobs.push_back(std::move(entry));
+  }
+  Json response = make_ok();
+  response.set("jobs", std::move(jobs));
+  return response;
+}
+
+std::string Server::lanes_error(const sched::MissionSpec& spec) const {
+  // Lanes are capped per pool — a lease never spans pools.
+  if (spec.lanes <= group_->arrays_per_pool()) return "";
+  return "lanes=" + std::to_string(spec.lanes) + " exceeds the pool's " +
+         std::to_string(group_->arrays_per_pool()) + " arrays";
+}
+
+std::optional<Json> Server::admit(
+    const std::vector<std::shared_ptr<JobRecord>>& records, bool batch) {
+  const std::size_t count = records.size();
   {
     std::lock_guard lock(state_mutex_);
     if (draining_.load(std::memory_order_relaxed)) {
-      m_rejected_.add();
+      m_rejected_.add(count);
       return make_error("service is draining; not accepting new missions",
                         "draining");
     }
-    if (inflight_ >= max_inflight_) {
-      m_rejected_.add();
+    if (inflight_ + count > max_inflight_) {
+      m_rejected_.add(count);
+      const std::string load =
+          std::to_string(inflight_) + " missions in flight";
+      const std::string cap = std::to_string(max_inflight_);
       Json response = make_error(
-          "rejected: " + std::to_string(inflight_) +
-              " missions in flight (cap " + std::to_string(max_inflight_) +
-              ")",
+          batch ? "rejected: batch of " + std::to_string(count) +
+                      " does not fit (" + load + ", cap " + cap + ")"
+                : "rejected: " + load + " (cap " + cap + ")",
           "queue_full");
       response.set("rejected", "queue_full");
-      response.set("retry_after_ms", retry_after_ms_locked(1));
+      response.set("retry_after_ms", retry_after_ms_locked(count));
       return response;
     }
-    ++inflight_;
+    inflight_ += count;
     m_inflight_.set(static_cast<double>(inflight_));
-    record->id = next_job_id_++;
+    for (const std::shared_ptr<JobRecord>& record : records) {
+      record->id = next_job_id_++;
+    }
   }
-  m_submitted_.add();
-  record->submitted_ns = admit_start_ns;
-  // Write-ahead: the "submitted" record lands before the launch (and
-  // before the ack), so a crash anywhere after this line still
-  // resubmits the mission on restart.
-  journal_submitted(*record);
-  launch_job(record);
-  Json response = make_ok();
-  response.set("job", record->id);
-  response.set("name", spec.name);
+  m_submitted_.add(count);
+  for (const std::shared_ptr<JobRecord>& record : records) {
+    // Write-ahead: the "submitted" record lands before the launch (and
+    // before the ack), so a crash anywhere after this line still
+    // resubmits the mission on restart.
+    journal_submitted(*record);
+    launch_job(record);
+  }
   // Admission-to-ack latency: spec validation + write-ahead journal +
-  // pool placement. The ack write itself is the session loop's.
-  m_submit_latency_.record(obs::Tracer::now_ns() - admit_start_ns);
-  return response;
+  // pool placement, from the stamp the handler put on every record. The
+  // ack write itself is the session loop's.
+  m_submit_latency_.record(obs::Tracer::now_ns() -
+                           records.front()->submitted_ns);
+  return std::nullopt;
 }
 
 void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
@@ -659,16 +570,9 @@ void Server::launch_job(const std::shared_ptr<JobRecord>& record) {
       // Safe here: MissionRunner::finish stores the outcome before it
       // fires kFinished observers. This append is the commit point —
       // after it, replay re-serves the result instead of re-running.
-      const sched::JobOutcome& outcome = runner->result();
-      Json rec = Json::object();
-      rec.set("rec", "finished");
-      rec.set("job", record->id);
-      rec.set("status", status_name(event.status));
-      rec.set("waves", event.waves);
-      rec.set("result",
-              outcome_to_json(record->spec.kind, event.status, outcome));
-      static_cast<void>(journal_->append(rec));
-      static_cast<void>(remove_file(journal_->checkpoint_path(record->id)));
+      journal_finished(record->id, event.status, event.waves,
+                       outcome_to_json(record->spec.kind, event.status,
+                                       runner->result()));
     }
     // Wall time covers admission to terminal finish (across migrations:
     // the stamp survives relaunches); sim time is the mission's own
@@ -734,19 +638,8 @@ void Server::migrate_job(const std::shared_ptr<JobRecord>& record) {
 void Server::finish_unmigratable(const std::shared_ptr<JobRecord>& record,
                                  std::uint64_t waves,
                                  const std::string& error) {
-  Json body = Json::object();
-  body.set("status", status_name(sched::JobStatus::kFailed));
-  body.set("error", "migration failed: " + error);
-  if (journal_ != nullptr) {
-    Json rec = Json::object();
-    rec.set("rec", "finished");
-    rec.set("job", record->id);
-    rec.set("status", status_name(sched::JobStatus::kFailed));
-    rec.set("waves", waves);
-    rec.set("result", body);
-    static_cast<void>(journal_->append(rec));
-    static_cast<void>(remove_file(journal_->checkpoint_path(record->id)));
-  }
+  const Json body = failed_result("migration failed: " + error);
+  journal_finished(record->id, sched::JobStatus::kFailed, waves, body);
   std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
   {
     std::lock_guard lock(state_mutex_);
@@ -766,72 +659,6 @@ void Server::finish_unmigratable(const std::shared_ptr<JobRecord>& record,
   done.status = sched::JobStatus::kFailed;
   done.waves = waves;
   for (const auto& watcher : watchers) watcher(done);
-}
-
-Json Server::handle_submit_batch(const Json& request) {
-  EHW_TRACE_SPAN("submit");
-  const std::uint64_t admit_start_ns = obs::Tracer::now_ns();
-  std::vector<sched::MissionSpec> specs;
-  const std::string parse_error = batch_specs_from_json(request, specs);
-  if (!parse_error.empty()) return make_error(parse_error, "bad_spec");
-  for (std::size_t i = 0; i < specs.size(); ++i) {
-    if (specs[i].lanes > group_->arrays_per_pool()) {
-      return make_error("spec " + std::to_string(i) + ": lanes=" +
-                            std::to_string(specs[i].lanes) +
-                            " exceeds the pool's " +
-                            std::to_string(group_->arrays_per_pool()) +
-                            " arrays",
-                        "bad_spec");
-    }
-  }
-
-  // Atomic admission: the batch reserves all its inflight slots or none,
-  // so a swarm client never has to unpick a half-accepted manifest.
-  std::vector<std::shared_ptr<JobRecord>> records;
-  records.reserve(specs.size());
-  {
-    std::lock_guard lock(state_mutex_);
-    if (draining_.load(std::memory_order_relaxed)) {
-      m_rejected_.add(specs.size());
-      return make_error("service is draining; not accepting new missions",
-                        "draining");
-    }
-    if (inflight_ + specs.size() > max_inflight_) {
-      m_rejected_.add(specs.size());
-      Json response = make_error(
-          "rejected: batch of " + std::to_string(specs.size()) +
-              " does not fit (" + std::to_string(inflight_) +
-              " missions in flight, cap " + std::to_string(max_inflight_) +
-              ")",
-          "queue_full");
-      response.set("rejected", "queue_full");
-      response.set("retry_after_ms", retry_after_ms_locked(specs.size()));
-      return response;
-    }
-    inflight_ += specs.size();
-    m_inflight_.set(static_cast<double>(inflight_));
-    for (sched::MissionSpec& spec : specs) {
-      auto record = std::make_shared<JobRecord>();
-      record->spec = std::move(spec);
-      record->id = next_job_id_++;
-      record->submitted_ns = admit_start_ns;
-      records.push_back(std::move(record));
-    }
-  }
-  m_submitted_.add(records.size());
-  Json jobs = Json::array();
-  for (const std::shared_ptr<JobRecord>& record : records) {
-    journal_submitted(*record);
-    launch_job(record);
-    Json entry = Json::object();
-    entry.set("job", record->id);
-    entry.set("name", record->spec.name);
-    jobs.push_back(std::move(entry));
-  }
-  Json response = make_ok();
-  response.set("jobs", std::move(jobs));
-  m_submit_latency_.record(obs::Tracer::now_ns() - admit_start_ns);
-  return response;
 }
 
 void Server::prune_finished_locked() {
@@ -854,42 +681,11 @@ void Server::prune_finished_locked() {
   }
 }
 
-std::shared_ptr<Server::JobRecord> Server::find_job(
-    const Json& request, std::string& error) const {
-  const Json* job_field = request.get("job");
-  if (job_field == nullptr) {
-    error = "request is missing 'job' (id or name)";
-    return nullptr;
-  }
-  std::lock_guard lock(state_mutex_);
-  if (job_field->is_number()) {
-    const double id = job_field->as_number();
-    const auto it = json_number_is_exact_int(id) && id >= 0
-                        ? jobs_.find(static_cast<std::uint64_t>(id))
-                        : jobs_.end();
-    if (it == jobs_.end()) {
-      error = "no such job id " + job_field->dump();
-      return nullptr;
-    }
-    return it->second;
-  }
-  if (job_field->is_string()) {
-    const std::string& name = job_field->as_string();
-    // Latest submission with that name wins (names may repeat over time).
-    for (auto it = jobs_.rbegin(); it != jobs_.rend(); ++it) {
-      if (it->second->spec.name == name) return it->second;
-    }
-    error = "no job named '" + name + "'";
-    return nullptr;
-  }
-  error = "'job' must be an id number or a name string";
-  return nullptr;
-}
-
 Json Server::handle_status(const Json& request) {
-  std::string error;
-  const std::shared_ptr<JobRecord> record = find_job(request, error);
-  if (record == nullptr) return make_error(error, "unknown_job");
+  Json error;
+  const std::shared_ptr<JobRecord> record =
+      find_job(jobs_, state_mutex_, request, error);
+  if (record == nullptr) return error;
   Json response = make_ok();
   response.set("job", record->id);
   response.set("name", record->spec.name);
@@ -924,9 +720,12 @@ Json Server::handle_status(const Json& request) {
 }
 
 Json Server::handle_result(const Json& request) {
-  std::string error;
-  const std::shared_ptr<JobRecord> record = find_job(request, error);
-  if (record == nullptr) return make_error(error, "unknown_job");
+  Json error;
+  const std::shared_ptr<JobRecord> record =
+      find_job(jobs_, state_mutex_, request, error);
+  if (record == nullptr) return error;
+  Json response;
+  std::uint64_t waves = 0;
   for (;;) {
     std::shared_ptr<sched::MissionRunner> runner;
     {
@@ -935,18 +734,13 @@ Json Server::handle_result(const Json& request) {
       if (runner == nullptr) {
         // Re-served verbatim from the journal (previous incarnation) or
         // from the terminal-failure record of a failed migration.
-        Json response = record->journaled.is_object() ? record->journaled
-                                                      : Json::object();
+        response = record->journaled.is_object() ? record->journaled
+                                                 : Json::object();
         if (response.get("status") == nullptr) {
           response.set("status", record->journal_status);
         }
-        response.set("ok", true);
-        response.set("job", record->id);
-        response.set("name", record->spec.name);
-        response.set("kind", sched::kind_name(record->spec.kind));
-        response.set("waves", record->journal_waves);
-        if (record->replayed_from_journal) response.set("replayed", true);
-        return response;
+        waves = record->journal_waves;
+        break;
       }
     }
     // Blocks this session thread until the job leaves the running set;
@@ -960,21 +754,24 @@ Json Server::handle_result(const Json& request) {
       state_cv_.wait(lock, [&] { return record->runner != runner; });
       continue;
     }
-    Json response =
-        outcome_to_json(record->spec.kind, runner->status(), outcome);
-    response.set("ok", true);
-    response.set("job", record->id);
-    response.set("name", record->spec.name);
-    response.set("kind", sched::kind_name(record->spec.kind));
-    response.set("waves", runner->waves_completed());
-    return response;
+    response = outcome_to_json(record->spec.kind, runner->status(), outcome);
+    waves = runner->waves_completed();
+    break;
   }
+  response.set("ok", true);
+  response.set("job", record->id);
+  response.set("name", record->spec.name);
+  response.set("kind", sched::kind_name(record->spec.kind));
+  response.set("waves", waves);
+  if (record->replayed_from_journal) response.set("replayed", true);
+  return response;
 }
 
 Json Server::handle_cancel(const Json& request) {
-  std::string error;
-  const std::shared_ptr<JobRecord> record = find_job(request, error);
-  if (record == nullptr) return make_error(error, "unknown_job");
+  Json error;
+  const std::shared_ptr<JobRecord> record =
+      find_job(jobs_, state_mutex_, request, error);
+  if (record == nullptr) return error;
   Json response = make_ok();
   response.set("job", record->id);
   std::shared_ptr<sched::MissionRunner> runner;
@@ -1028,7 +825,6 @@ Json Server::handle_stats() {
   // hits this a few times a second per backend) must never serialize
   // against job bookkeeping under the pool mutexes.
   const sched::PoolGroup::GroupStats group_stats = group_->stats();
-  const sched::CacheStats cache_stats = group_->cache_stats();
   const ServiceStats service = service_stats();
 
   Json pool = pool_stats_json(group_stats.total);
@@ -1047,18 +843,15 @@ Json Server::handle_stats() {
   placement.set("affinity_hits", placement_stats.affinity_hits);
   placement.set("spills", placement_stats.spills);
 
-  Json cache = Json::object();
-  cache.set("hits", cache_stats.hits);
-  cache.set("misses", cache_stats.misses);
-  cache.set("evictions", cache_stats.evictions);
-  cache.set("hit_rate", cache_stats.hit_rate());
-
-  const evo::FitnessMemoStats memo_stats = group_->memo_stats();
-  Json memo = Json::object();
-  memo.set("hits", memo_stats.hits);
-  memo.set("misses", memo_stats.misses);
-  memo.set("evictions", memo_stats.evictions);
-  memo.set("hit_rate", memo_stats.hit_rate());
+  // The compiled-array cache and the fitness memo share one shape.
+  const auto hit_counters = [](const auto& stats) {
+    Json out = Json::object();
+    out.set("hits", stats.hits);
+    out.set("misses", stats.misses);
+    out.set("evictions", stats.evictions);
+    out.set("hit_rate", stats.hit_rate());
+    return out;
+  };
 
   Json svc = Json::object();
   svc.set("protocol", kProtocolVersion);
@@ -1096,8 +889,8 @@ Json Server::handle_stats() {
   response.set("pool", std::move(pool));
   response.set("pools", std::move(pools));
   response.set("placement", std::move(placement));
-  response.set("cache", std::move(cache));
-  response.set("memo", std::move(memo));
+  response.set("cache", hit_counters(group_->cache_stats()));
+  response.set("memo", hit_counters(group_->memo_stats()));
   response.set("service", std::move(svc));
   response.set("telemetry", std::move(telemetry));
   if (journal_ != nullptr) {
@@ -1169,21 +962,17 @@ Json Server::handle_health() {
   return response;
 }
 
-std::optional<Json> Server::handle_watch(Session& session,
-                                         const Json& request) {
-  std::string error;
-  const std::shared_ptr<JobRecord> record = find_job(request, error);
-  if (record == nullptr) return make_error(error, "unknown_job");
-  const double every_field = request.get_number("every", 1);
-  const std::uint64_t every =
-      json_number_is_exact_int(every_field) && every_field >= 1
-          ? static_cast<std::uint64_t>(every_field)
-          : 1;
+std::optional<Json> Server::handle_watch(const Json& request,
+                                         const Endpoint::Channel& channel) {
+  Json error;
+  const std::shared_ptr<JobRecord> record =
+      find_job(jobs_, state_mutex_, request, error);
+  if (record == nullptr) return error;
+  const std::uint64_t every = watch_every(request);
   Json ack = make_ok();
   ack.set("job", record->id);
   ack.set("watching", record->spec.name);
   if (const Json* id = request.get("id")) ack.set("id", *id);
-  const std::shared_ptr<LineChannel> channel = session.channel;
   const std::uint64_t job_id = record->id;
   const auto observer = [channel, job_id,
                          every](const sched::MissionEvent& event) {
@@ -1219,13 +1008,13 @@ std::optional<Json> Server::handle_watch(Session& session,
   if (runner == nullptr) {
     // Replayed/terminal: ack, then an immediate synthesized done frame
     // (exactly what a live watch on a finished job delivers).
-    static_cast<void>(session.channel->write_line(ack.dump()));
+    static_cast<void>(channel->write_line(ack.dump()));
     Json frame = Json::object();
     frame.set("event", "done");
     frame.set("job", record->id);
     frame.set("status", record->journal_status);
     frame.set("waves", record->journal_waves);
-    static_cast<void>(session.channel->write_line(frame.dump()));
+    static_cast<void>(channel->write_line(frame.dump()));
     return std::nullopt;
   }
   // Subscribe BEFORE writing the ack: once the client has the ack it
@@ -1235,8 +1024,8 @@ std::optional<Json> Server::handle_watch(Session& session,
   runner->subscribe(observer);
   // A watching session legitimately goes quiet (events flow the other
   // way) — exempt it from the idle-session bound for its lifetime.
-  session.channel->set_recv_timeout(0);
-  static_cast<void>(session.channel->write_line(ack.dump()));
+  channel->set_recv_timeout(0);
+  static_cast<void>(channel->write_line(ack.dump()));
   return std::nullopt;
 }
 

@@ -3,9 +3,10 @@
 // over a sched::PoolGroup (one or more ArrayPools behind a placement
 // policy; see pool_group.hpp for why sharding helps a busy daemon).
 //
-// Threading model: one acceptor thread polls the listener; each
-// connection gets a session thread running the request loop. Progress
-// events for watched jobs are written from the JOB's thread (via
+// Threading model: an svc::Endpoint accepts connections and runs one
+// session thread per connection, dispatching into this class's op table
+// (see endpoint.hpp for the shared session layer). Progress events for
+// watched jobs are written from the JOB's thread (via
 // MissionRunner::subscribe) through the session's LineChannel, whose
 // write lock keeps frames from interleaving with responses.
 //
@@ -42,23 +43,19 @@
 #include <mutex>
 #include <optional>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "ehw/obs/metrics.hpp"
 #include "ehw/sched/pool_group.hpp"
+#include "ehw/svc/endpoint.hpp"
 #include "ehw/svc/journal.hpp"
 #include "ehw/svc/protocol.hpp"
-#include "ehw/svc/socket.hpp"
 
 namespace ehw::svc {
 
-struct ServerConfig {
-  /// Bind address; loopback by default (the service is an operator-local
-  /// daemon — remote backends are a future layer).
-  std::string address = "127.0.0.1";
-  /// 0 = ephemeral; the chosen port is readable via Server::port().
-  std::uint16_t port = 0;
+/// Endpoint fields (address, port, max_line, idle_timeout_ms) come from
+/// EndpointConfig.
+struct ServerConfig : EndpointConfig {
   /// The scheduler pool(s) the daemon fronts. Each of `pools` shards is
   /// built from `pool` (per-pool queue, locks, cache + memo); submits are
   /// routed across them by the group's PlacementPolicy (free capacity +
@@ -84,14 +81,6 @@ struct ServerConfig {
   /// Persist the FitnessMemo + compiled-array cache to warm.json on
   /// graceful stop and preload them on startup (journaled daemons only).
   bool persist_warm = true;
-  /// Per-session frame-length bound; 0 = LineChannel::kMaxLine (1 MiB).
-  /// An oversize frame gets a clean "oversize_frame" error and a close —
-  /// never unbounded buffering.
-  std::size_t max_line = 0;
-  /// Close sessions that send no request for this long (ms). Watch
-  /// streams are exempt once subscribed (they legitimately go quiet).
-  /// 0 disables the bound (library/test default — `mpa serve` arms it).
-  int idle_timeout_ms = 0;
 };
 
 /// Journal/recovery counters (the "stats" op's journal section). All
@@ -135,7 +124,9 @@ class Server {
   Server(const Server&) = delete;
   Server& operator=(const Server&) = delete;
 
-  [[nodiscard]] std::uint16_t port() const noexcept { return port_; }
+  [[nodiscard]] std::uint16_t port() const noexcept {
+    return endpoint_->port();
+  }
   [[nodiscard]] const ServerConfig& config() const noexcept {
     return config_;
   }
@@ -216,25 +207,16 @@ class Server {
     /// so progress streams survive a migration. Guarded by state_mutex_.
     std::vector<std::function<void(const sched::MissionEvent&)>> watchers;
   };
-  struct Session {
-    explicit Session(Socket socket)
-        : channel(std::make_shared<LineChannel>(std::move(socket))) {}
-    /// Shared so watch subscriptions can outlive the session thread (the
-    /// channel just starts failing writes once the peer is gone).
-    std::shared_ptr<LineChannel> channel;
-    std::thread thread;
-    std::atomic<bool> done{false};
-    bool greeted = false;           // session-thread only
-    bool close_after_reply = false;  // session-thread only
-  };
-
-  void accept_loop();
-  void session_loop(Session* session);
-  /// nullopt when the handler already wrote its own frames (watch).
-  [[nodiscard]] std::optional<Json> handle_request(Session& session,
-                                                   const Json& request);
   [[nodiscard]] Json handle_submit(const Json& request);
   [[nodiscard]] Json handle_submit_batch(const Json& request);
+  /// Admission shared by submit and submit_batch: all of `records` are
+  /// admitted or none (draining, inflight cap), then each gets an id, its
+  /// write-ahead "submitted" record and a launch. Returns the rejection
+  /// reply, or nullopt once every record is launched.
+  [[nodiscard]] std::optional<Json> admit(
+      const std::vector<std::shared_ptr<JobRecord>>& records, bool batch);
+  /// "" or why `spec` cannot run on this daemon's pools (lane demand).
+  [[nodiscard]] std::string lanes_error(const sched::MissionSpec& spec) const;
   /// Registers one admitted job: pool submission, record registry,
   /// inflight bookkeeping subscription. Caller already reserved the
   /// inflight slot. Runs OUTSIDE state_mutex_ (see handle_submit).
@@ -246,11 +228,9 @@ class Server {
   [[nodiscard]] Json handle_stats();
   [[nodiscard]] Json handle_health();
   [[nodiscard]] Json handle_trace(const Json& request);
-  [[nodiscard]] std::optional<Json> handle_watch(Session& session,
-                                                 const Json& request);
+  [[nodiscard]] std::optional<Json> handle_watch(
+      const Json& request, const Endpoint::Channel& channel);
   [[nodiscard]] Json handle_drain(const Json& request);
-  [[nodiscard]] std::shared_ptr<JobRecord> find_job(const Json& request,
-                                                    std::string& error) const;
   /// Evicts the oldest finished jobs beyond max_job_records. Caller
   /// holds state_mutex_.
   void prune_finished_locked();
@@ -259,6 +239,11 @@ class Server {
   /// Runs from the constructor, before the listener exists.
   void replay_journal();
   void journal_submitted(const JobRecord& record);
+  /// The commit record of a terminal mission: appends "finished" with
+  /// the result body and drops the job's checkpoint sidecar. No-op
+  /// without a journal.
+  void journal_finished(std::uint64_t id, sched::JobStatus status,
+                        std::uint64_t waves, const Json& result);
   /// Relaunches a preempted mission from its latest checkpoint onto the
   /// healthy remainder of the pool (runs on the job thread that just
   /// preempted; inflight_ stays held across the hop). Falls through to
@@ -285,7 +270,6 @@ class Server {
 
   ServerConfig config_;
   std::size_t max_inflight_ = 0;
-  std::uint16_t port_ = 0;
   std::string instance_id_;   // constructor-written, then immutable
   std::uint64_t epoch_ = 1;   // constructor-written, then immutable
 
@@ -334,14 +318,10 @@ class Server {
   /// m_inflight_ mirrors it for the scrape path.
   std::size_t inflight_ = 0;
   std::atomic<bool> draining_{false};
-  std::atomic<bool> stopping_{false};
   bool stopped_ = false;  // stop() ran to completion (main thread only)
 
   std::unique_ptr<sched::PoolGroup> group_;
-  std::unique_ptr<Listener> listener_;
-  std::thread acceptor_;
-  mutable std::mutex sessions_mutex_;
-  std::vector<std::unique_ptr<Session>> sessions_;
+  std::unique_ptr<Endpoint> endpoint_;
 };
 
 }  // namespace ehw::svc

@@ -357,8 +357,9 @@ TEST(Cluster, SplitBrainFenceCancelsTheStalledIncarnationExactlyOnce) {
   Cluster cluster;  // poll_ms = 50: revival polls land within the test
   Client client = cluster.client();
   // Long enough that the stalled copy is still mid-run when the revival
-  // fence reaches it (the fence poll lands within a few hundred ms).
-  const sched::MissionSpec spec = quick_spec("split-brain", 3, 2000);
+  // fence reaches it (the fence poll lands within a few hundred ms, and
+  // a 16 px mission of 2000 generations can finish sooner than that).
+  const sched::MissionSpec spec = quick_spec("split-brain", 3, 20000);
   const Client::Submitted submitted = client.submit(spec);
   ASSERT_TRUE(submitted.ok) << submitted.error;
   wait_for_waves(client, submitted.job, 2);

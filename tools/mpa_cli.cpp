@@ -1,57 +1,9 @@
 // mpa — the command-line front end to the MPA-EHW library.
 //
-// Subcommands:
-//   info      [--stages N]                       resource model + floorplan
-//   evolve    --train in.pgm --ref ref.pgm       evolve a filter on the
-//             [--arrays N] [--generations N]     platform and append it to
-//             [--two-level] [--seed N]           a genotype library file
-//             --lib filters.txt --name NAME
-//   filter    --lib filters.txt --name NAME      apply a saved filter
-//             --in x.pgm --out y.pgm
-//   schematic --lib filters.txt --name NAME      ASCII circuit + liveness
-//   campaign  --lib filters.txt --name NAME      systematic PE fault
-//             --train in.pgm --ref ref.pgm       campaign + criticality map
-//   batch     --manifest jobs.txt [--arrays N]   run a manifest of
-//             [--cache N] [--sequential]         heterogeneous missions
-//                                                concurrently on one
-//                                                scheduler ArrayPool
-//   serve     [--port N] [--arrays N] ...        run the mission service
-//             [--journal DIR] [--pools N]        daemon; --pools shards the
-//             [--arrays-per-pool N]              arrays into N placement-
-//             [--checkpoint-every N] [--no-warm] routed pools; --journal
-//                                                makes it durable
-//   forward   [--port N] [--poll-ms N] ...       run the federation front
-//             host:port[:journal] ...            daemon over backend
-//                                                daemons (same protocol)
-//   submit    --port N <kind> <name> [k=v ...]   submit a mission to a
-//                                                daemon and stream it
-//   result    --port N --job ID|NAME             fetch (block for) one
-//                                                job's final result
-//   ps        --port N [--cluster]               list daemon jobs + stats
-//   stats     --port N                           per-pool / per-backend
-//                                                capacity + placement rows
-//   cancel    --port N --job ID|NAME             cancel a daemon job
-//   drain     --port N [--wait]                  drain the daemon (finish
-//                                                jobs, refuse new ones)
-//   checkpoint <kind> <name> [k=v ...]           run a mission standalone,
-//             --out ck.json [--every N]          checkpointing to a file
-//             [--preempt G]                      (optionally stop early)
-//   restore   --from ck.json [--lanes N]         resume a checkpointed
-//                                                mission to completion
-//                                                (optionally on a
-//                                                different lane count)
-//   health    --port N                           per-array health, fault
-//                                                counters + migrations
-//   top       --port N [--cluster]               live refreshing terminal
-//             [--interval MS] [--count N]        dashboard over the stats/
-//                                                list/health ops (q quits)
-//   trace     [OUT.json] --port N                dump the daemon's span
-//             [--arm|--disarm] [--clear]         rings as Chrome trace-
-//                                                event JSON (load into
-//                                                chrome://tracing or
-//                                                ui.perfetto.dev)
-//   demo      [--size N] [--noise D]             end-to-end synthetic demo
-//   version                                      build version + protocol
+// The subcommands are table-driven: kCommands, at the bottom of this
+// file, holds each one's name, usage line and entry point; `mpa --help`
+// prints the usage lines in table order, and an argument error prints
+// the usage line of the subcommand that hit it.
 //
 // Every run is deterministic for a given --seed; batch results are
 // bit-identical whether jobs are multiplexed or run --sequential, and
@@ -110,93 +62,34 @@ namespace {
 
 using namespace ehw;
 
-constexpr const char* kInfoUsage = "mpa info [--stages N]";
-constexpr const char* kEvolveUsage =
-    "mpa evolve --train in.pgm --ref ref.pgm --lib filters.txt --name NAME "
-    "[--arrays N] [--generations N] [--rate K] [--two-level] [--seed N]";
-constexpr const char* kFilterUsage =
-    "mpa filter --lib filters.txt --name NAME --in x.pgm --out y.pgm";
-constexpr const char* kSchematicUsage =
-    "mpa schematic --lib filters.txt --name NAME";
-constexpr const char* kCampaignUsage =
-    "mpa campaign --lib filters.txt --name NAME --train in.pgm --ref ref.pgm "
-    "[--recover] [--generations N]";
-constexpr const char* kBatchUsage =
-    "mpa batch --manifest jobs.txt [--arrays N] [--cache N] [--max-jobs N] "
-    "[--sequential]";
-constexpr const char* kServeUsage =
-    "mpa serve [--port N] [--address A] [--pools N] [--arrays-per-pool N] "
-    "[--arrays N] [--cache N] [--max-jobs N] [--max-inflight N] "
-    "[--journal DIR] [--checkpoint-every N] [--no-warm] [--fault-plan SPEC] "
-    "[--metrics-port N] [--idle-timeout-ms N] [--max-line BYTES]";
-constexpr const char* kForwardUsage =
-    "mpa forward [--port N] [--address A] [--poll-ms N] [--down-after N] "
-    "[--timeout-ms N] [--metrics-port N] [--idle-timeout-ms N] "
-    "[--max-line BYTES] host:port[:journal] ...";
-constexpr const char* kSubmitUsage =
-    "mpa submit --port N [--address A] <kind> <name> [key=value ...] "
-    "[--detach] [--quiet] [--retries N] [--timeout-ms N] | "
-    "mpa submit --port N --manifest jobs.txt [--detach]";
-constexpr const char* kResultUsage =
-    "mpa result --port N [--address A] --job ID|NAME "
-    "[--retries N] [--timeout-ms N]";
-constexpr const char* kPsUsage =
-    "mpa ps --port N [--address A] [--cluster]";
-constexpr const char* kStatsUsage = "mpa stats --port N [--address A]";
-constexpr const char* kCancelUsage =
-    "mpa cancel --port N [--address A] --job ID|NAME";
-constexpr const char* kDrainUsage =
-    "mpa drain --port N [--address A] [--wait]";
-constexpr const char* kCheckpointUsage =
-    "mpa checkpoint <kind> <name> [key=value ...] --out ck.json "
-    "[--every N] [--preempt G]";
-constexpr const char* kRestoreUsage =
-    "mpa restore --from ck.json [--lanes N]";
-constexpr const char* kHealthUsage =
-    "mpa health --port N [--address A] [--cluster]";
-constexpr const char* kBackendUsage =
-    "mpa backend <list|add|remove> --port N [--address A] "
-    "[host:port[:journal]] [--backend INDEX]";
-constexpr const char* kTopUsage =
-    "mpa top --port N [--address A] [--cluster] [--interval MS] [--count N]";
-constexpr const char* kTraceUsage =
-    "mpa trace [OUT.json] --port N [--address A] [--arm|--disarm] [--clear]";
-constexpr const char* kDemoUsage = "mpa demo [--size N] [--noise D] [--seed N]";
+/// One subcommand: its name, its usage line (printed by --help and under
+/// its argument errors) and its entry point.
+struct Command {
+  const char* name;
+  const char* usage;
+  int (*run)(const Cli&);
+};
 
-void print_usage(std::FILE* out) {
-  std::fprintf(out,
-               "usage: mpa <info|evolve|filter|schematic|campaign|batch|serve|"
-               "forward|submit|result|ps|stats|cancel|drain|checkpoint|"
-               "restore|health|backend|top|trace|demo|version> [options]\n"
-               "  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n"
-               "  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n  %s\n"
-               "  %s\n  mpa version\n",
-               kInfoUsage, kEvolveUsage, kFilterUsage, kSchematicUsage,
-               kCampaignUsage, kBatchUsage, kServeUsage, kForwardUsage,
-               kSubmitUsage, kResultUsage, kPsUsage, kStatsUsage,
-               kCancelUsage, kDrainUsage, kCheckpointUsage, kRestoreUsage,
-               kHealthUsage, kBackendUsage, kTopUsage, kTraceUsage,
-               kDemoUsage);
-}
+/// The subcommand main() dispatched to.
+const Command* g_command = nullptr;
 
-int usage() {
-  print_usage(stderr);
-  return 2;
-}
-
-[[noreturn]] void fail(const std::string& message,
-                       const char* cmd_usage = nullptr) {
+[[noreturn]] void fail(const std::string& message) {
   std::fprintf(stderr, "mpa: %s\n", message.c_str());
-  if (cmd_usage != nullptr) std::fprintf(stderr, "usage: %s\n", cmd_usage);
+  std::exit(1);
+}
+
+/// fail() plus the running subcommand's usage line.
+[[noreturn]] void usage_error(const std::string& message) {
+  std::fprintf(stderr, "mpa: %s\nusage: %s\n", message.c_str(),
+               g_command->usage);
   std::exit(1);
 }
 
 /// Required-option lookup: a missing or valueless option prints the
 /// subcommand's usage and exits non-zero instead of running ahead.
-std::string require(const Cli& cli, const std::string& key,
-                    const char* cmd_usage) {
+std::string require(const Cli& cli, const std::string& key) {
   const std::string v = cli.get(key, "");
-  if (v.empty()) fail("missing required option --" + key, cmd_usage);
+  if (v.empty()) usage_error("missing required option --" + key);
   return v;
 }
 
@@ -228,11 +121,11 @@ platform::PlatformConfig make_platform_config(const Cli& cli,
 }
 
 int cmd_evolve(const Cli& cli) {
-  const img::Image train = img::read_pgm(require(cli, "train", kEvolveUsage));
-  const img::Image ref = img::read_pgm(require(cli, "ref", kEvolveUsage));
+  const img::Image train = img::read_pgm(require(cli, "train"));
+  const img::Image ref = img::read_pgm(require(cli, "ref"));
   if (!train.same_shape(ref)) fail("train/ref images differ in shape");
-  const std::string lib_path = require(cli, "lib", kEvolveUsage);
-  const std::string name = require(cli, "name", kEvolveUsage);
+  const std::string lib_path = require(cli, "lib");
+  const std::string name = require(cli, "name");
 
   ThreadPool pool;
   platform::EvolvablePlatform plat(
@@ -266,48 +159,47 @@ int cmd_evolve(const Cli& cli) {
   return 0;
 }
 
-int cmd_filter(const Cli& cli) {
+/// The genotype --name names in the --lib library file.
+evo::Genotype load_filter(const Cli& cli) {
   const evo::GenotypeLibrary lib =
-      evo::GenotypeLibrary::load_file(require(cli, "lib", kFilterUsage));
-  const std::string name = require(cli, "name", kFilterUsage);
+      evo::GenotypeLibrary::load_file(require(cli, "lib"));
+  const std::string name = require(cli, "name");
   if (!lib.contains(name)) fail("library has no entry '" + name + "'");
-  const img::Image in = img::read_pgm(require(cli, "in", kFilterUsage));
-  const std::string out_path = require(cli, "out", kFilterUsage);
+  return lib.get(name);
+}
+
+int cmd_filter(const Cli& cli) {
+  const evo::Genotype genotype = load_filter(cli);
+  const img::Image in = img::read_pgm(require(cli, "in"));
+  const std::string out_path = require(cli, "out");
 
   ThreadPool pool;
   platform::EvolvablePlatform plat(
       make_platform_config(cli, in.width(), &pool));
-  plat.configure_array(0, lib.get(name), 0);
+  plat.configure_array(0, genotype, 0);
   const img::Image out = plat.process_independent(0, in);
   img::write_pgm(out, out_path);
   std::printf("filtered %zux%zu image with '%s' -> %s\n", in.width(),
-              in.height(), name.c_str(), out_path.c_str());
+              in.height(), cli.get("name", "").c_str(), out_path.c_str());
   return 0;
 }
 
 int cmd_schematic(const Cli& cli) {
-  const evo::GenotypeLibrary lib =
-      evo::GenotypeLibrary::load_file(require(cli, "lib", kSchematicUsage));
-  const std::string name = require(cli, "name", kSchematicUsage);
-  if (!lib.contains(name)) fail("library has no entry '" + name + "'");
-  const evo::Genotype& g = lib.get(name);
+  const evo::Genotype g = load_filter(cli);
   std::printf("%s\n%s", g.to_string().c_str(),
               pe::render_schematic(g.to_array()).c_str());
   return 0;
 }
 
 int cmd_campaign(const Cli& cli) {
-  const evo::GenotypeLibrary lib =
-      evo::GenotypeLibrary::load_file(require(cli, "lib", kCampaignUsage));
-  const std::string name = require(cli, "name", kCampaignUsage);
-  if (!lib.contains(name)) fail("library has no entry '" + name + "'");
-  const img::Image train = img::read_pgm(require(cli, "train", kCampaignUsage));
-  const img::Image ref = img::read_pgm(require(cli, "ref", kCampaignUsage));
+  const evo::Genotype genotype = load_filter(cli);
+  const img::Image train = img::read_pgm(require(cli, "train"));
+  const img::Image ref = img::read_pgm(require(cli, "ref"));
 
   ThreadPool pool;
   platform::EvolvablePlatform plat(
       make_platform_config(cli, train.width(), &pool));
-  plat.configure_array(0, lib.get(name), 0);
+  plat.configure_array(0, genotype, 0);
 
   analysis::CampaignConfig ccfg;
   ccfg.run_recovery = cli.has("recover");
@@ -320,25 +212,19 @@ int cmd_campaign(const Cli& cli) {
   return 0;
 }
 
-const char* status_name(sched::JobStatus status) {
-  switch (status) {
-    case sched::JobStatus::kQueued: return "queued";
-    case sched::JobStatus::kRunning: return "running";
-    case sched::JobStatus::kDone: return "done";
-    case sched::JobStatus::kFailed: return "FAILED";
-    case sched::JobStatus::kCancelled: return "cancelled";
-    case sched::JobStatus::kPreempted: return "preempted";
-  }
-  return "?";
+/// The mission specs of a manifest file; unreadable is a usage error,
+/// empty a failure.
+std::vector<sched::MissionSpec> read_manifest(const std::string& path) {
+  std::ifstream manifest(path);
+  if (!manifest) usage_error("cannot open manifest " + path);
+  std::vector<sched::MissionSpec> specs = sched::parse_manifest(manifest);
+  if (specs.empty()) fail("manifest has no jobs: " + path);
+  return specs;
 }
 
 int cmd_batch(const Cli& cli) {
-  const std::string manifest_path = require(cli, "manifest", kBatchUsage);
-  std::ifstream manifest(manifest_path);
-  if (!manifest) fail("cannot open manifest " + manifest_path, kBatchUsage);
   const std::vector<sched::MissionSpec> specs =
-      sched::parse_manifest(manifest);
-  if (specs.empty()) fail("manifest has no jobs: " + manifest_path);
+      read_manifest(require(cli, "manifest"));
 
   sched::PoolConfig pool_config;
   pool_config.num_arrays =
@@ -379,15 +265,17 @@ int cmd_batch(const Cli& cli) {
                 : static_cast<std::uint64_t>(
                       outcome.intrinsic.es.generations_run);
     const sched::ArrayPool::ScheduleEntry& window = schedule.jobs[i];
+    const bool failed = runners[i]->status() == sched::JobStatus::kFailed;
     table.add_row(
         {spec.name, sched::kind_name(spec.kind), Table::integer(spec.lanes),
-         status_name(runners[i]->status()), Table::integer(generations),
+         failed ? "FAILED" : svc::status_name(runners[i]->status()),
+         Table::integer(generations),
          Table::integer(fitness),
          Table::num(sim::to_seconds(outcome.stats.mission_time), 3),
          Table::num(sim::to_seconds(window.start), 3) + "-" +
              Table::num(sim::to_seconds(window.end), 3),
          Table::num(100.0 * outcome.stats.cache_hit_rate(), 1)});
-    if (runners[i]->status() == sched::JobStatus::kFailed) {
+    if (failed) {
       std::fprintf(stderr, "mpa batch: job '%s' failed: %s\n",
                    spec.name.c_str(), outcome.error.c_str());
     }
@@ -413,22 +301,20 @@ int cmd_batch(const Cli& cli) {
   return 0;
 }
 
-int cmd_version() {
+int cmd_version(const Cli&) {
   std::printf("mpa %s (service protocol %d)\n", kVersion,
               svc::kProtocolVersion);
   return 0;
 }
 
-std::uint16_t require_port(const Cli& cli, const char* cmd_usage) {
+std::uint16_t require_port(const Cli& cli) {
   const std::int64_t port = cli.get_int("port", 0);
-  if (port <= 0 || port > 65535) {
-    fail("missing or invalid --port", cmd_usage);
-  }
+  if (port <= 0 || port > 65535) usage_error("missing or invalid --port");
   return static_cast<std::uint16_t>(port);
 }
 
-svc::Client make_client(const Cli& cli, const char* cmd_usage) {
-  return svc::Client(require_port(cli, cmd_usage),
+svc::Client make_client(const Cli& cli) {
+  return svc::Client(require_port(cli),
                      cli.get("address", "127.0.0.1"),
                      static_cast<int>(cli.get_int("timeout-ms", 0)));
 }
@@ -445,13 +331,11 @@ svc::RetryPolicy retry_policy_from_cli(const Cli& cli) {
 /// `--flag` directly followed by a non-flag token swallows that token as
 /// its value ("--quiet lanes=4" silently drops lanes=4 from the spec).
 /// Fail loudly instead of submitting a corrupted mission.
-bool bare_flag(const Cli& cli, const std::string& flag,
-               const char* cmd_usage) {
+bool bare_flag(const Cli& cli, const std::string& flag) {
   if (!cli.has(flag)) return false;
   if (!cli.get(flag, "").empty()) {
-    fail("--" + flag + " takes no value (it swallowed '" +
-             cli.get(flag, "") + "' — place flags after the spec)",
-         cmd_usage);
+    usage_error("--" + flag + " takes no value (it swallowed '" +
+                cli.get(flag, "") + "' — place flags after the spec)");
   }
   return true;
 }
@@ -460,8 +344,7 @@ bool bare_flag(const Cli& cli, const std::string& flag,
 /// flag is absent, the EHW_FAULT_PLAN environment variable. Serving with
 /// an armed plan is how the chaos suite exercises the self-healing
 /// paths; production runs simply never pass either.
-void arm_fault_plan(const Cli& cli, const char* daemon = "serve",
-                    const char* cmd_usage = kServeUsage) {
+void arm_fault_plan(const Cli& cli) {
   std::string spec = cli.get("fault-plan", "");
   if (spec.empty()) {
     const char* env = std::getenv("EHW_FAULT_PLAN");
@@ -470,29 +353,39 @@ void arm_fault_plan(const Cli& cli, const char* daemon = "serve",
   if (spec.empty()) return;
   fault::FaultPlan plan;
   const std::string error = fault::parse_plan(spec, plan);
-  if (!error.empty()) fail("bad fault plan: " + error, cmd_usage);
+  if (!error.empty()) usage_error("bad fault plan: " + error);
   fault::install(plan);
   std::printf("mpa %s: FAULT PLAN ARMED (%s) — runs are for chaos "
               "testing only\n",
-              daemon, spec.c_str());
+              g_command->name, spec.c_str());
 }
 
 /// Shared --metrics-port handling for serve/forward: binds the
 /// Prometheus endpoint (0 = ephemeral) and prints the scrape URL —
 /// scripts parse the port from that line, like the listening line.
 std::unique_ptr<svc::MetricsHttp> make_metrics_endpoint(
-    const Cli& cli, const char* cmd_usage, const char* daemon,
-    const std::string& address, std::function<std::string()> producer) {
+    const Cli& cli, const std::string& address,
+    std::function<std::string()> producer) {
   if (!cli.has("metrics-port")) return nullptr;
   const std::int64_t port = cli.get_int("metrics-port", 0);
   if (port < 0 || port > 65535) {
-    fail("invalid --metrics-port (0 = ephemeral, else 1-65535)", cmd_usage);
+    usage_error("invalid --metrics-port (0 = ephemeral, else 1-65535)");
   }
   auto endpoint = std::make_unique<svc::MetricsHttp>(
       address, static_cast<std::uint16_t>(port), std::move(producer));
-  std::printf("mpa %s: metrics on http://%s:%u/metrics\n", daemon,
+  std::printf("mpa %s: metrics on http://%s:%u/metrics\n", g_command->name,
               address.c_str(), static_cast<unsigned>(endpoint->port()));
   return endpoint;
+}
+
+/// The serve/forward startup footer, flushed: scripts parse the port
+/// from the listening line above it.
+void print_daemon_hints(std::uint16_t port) {
+  std::printf("mpa %s: submit with `mpa submit --port %u <kind> <name> "
+              "[key=value ...]`, stop with `mpa drain --port %u --wait`\n",
+              g_command->name, static_cast<unsigned>(port),
+              static_cast<unsigned>(port));
+  std::fflush(stdout);
 }
 
 int cmd_serve(const Cli& cli) {
@@ -505,11 +398,11 @@ int cmd_serve(const Cli& cli) {
   config.address = cli.get("address", "127.0.0.1");
   const std::int64_t port = cli.get_int("port", 0);
   if (port < 0 || port > 65535) {
-    fail("invalid --port (0 = ephemeral, else 1-65535)", kServeUsage);
+    usage_error("invalid --port (0 = ephemeral, else 1-65535)");
   }
   config.port = static_cast<std::uint16_t>(port);
   const std::int64_t pools = cli.get_int("pools", 1);
-  if (pools < 1) fail("invalid --pools (>= 1)", kServeUsage);
+  if (pools < 1) usage_error("invalid --pools (>= 1)");
   config.pools = static_cast<std::size_t>(pools);
   // --arrays-per-pool is the sharded spelling; --arrays stays as the
   // single-pool spelling (and the per-pool width when both are given
@@ -525,18 +418,17 @@ int cmd_serve(const Cli& cli) {
   config.journal_dir = cli.get("journal", "");
   const std::int64_t checkpoint_every = cli.get_int("checkpoint-every", 25);
   if (checkpoint_every < 0) {
-    fail("invalid --checkpoint-every (generations, 0 = off)", kServeUsage);
+    usage_error("invalid --checkpoint-every (generations, 0 = off)");
   }
   config.checkpoint_every = static_cast<std::uint64_t>(checkpoint_every);
-  config.persist_warm = !bare_flag(cli, "no-warm", kServeUsage);
+  config.persist_warm = !bare_flag(cli, "no-warm");
   // Protocol armor: a served daemon always bounds idle sessions and
   // frame length (library embedders opt in). 0 disables the idle bound.
   const std::int64_t idle_ms = cli.get_int("idle-timeout-ms", 300'000);
-  if (idle_ms < 0) fail("invalid --idle-timeout-ms (>= 0)", kServeUsage);
+  if (idle_ms < 0) usage_error("invalid --idle-timeout-ms (>= 0)");
   config.idle_timeout_ms = static_cast<int>(idle_ms);
   const std::int64_t max_line = cli.get_int("max-line", 0);
-  if (max_line < 0) fail("invalid --max-line (bytes, 0 = default)",
-                         kServeUsage);
+  if (max_line < 0) usage_error("invalid --max-line (bytes, 0 = default)");
   config.max_line = static_cast<std::size_t>(max_line);
   ThreadPool host_pool;
   config.pool.host_pool = &host_pool;
@@ -548,9 +440,9 @@ int cmd_serve(const Cli& cli) {
               static_cast<unsigned>(server.port()),
               server.group().pool_count(), server.group().arrays_per_pool(),
               svc::kProtocolVersion, kVersion);
-  const std::unique_ptr<svc::MetricsHttp> metrics = make_metrics_endpoint(
-      cli, kServeUsage, "serve", server.config().address,
-      [&server] { return server.metrics_text(); });
+  const std::unique_ptr<svc::MetricsHttp> metrics =
+      make_metrics_endpoint(cli, server.config().address,
+                            [&server] { return server.metrics_text(); });
   if (!server.config().journal_dir.empty()) {
     const svc::JournalStats journal = server.journal_stats();
     std::printf(
@@ -563,11 +455,7 @@ int cmd_serve(const Cli& cli) {
         static_cast<unsigned long long>(journal.resumed_from_checkpoint),
         journal.truncated_tail ? " [truncated tail]" : "");
   }
-  std::printf("mpa serve: submit with `mpa submit --port %u <kind> <name> "
-              "[key=value ...]`, stop with `mpa drain --port %u --wait`\n",
-              static_cast<unsigned>(server.port()),
-              static_cast<unsigned>(server.port()));
-  std::fflush(stdout);  // scripts parse the port from this line
+  print_daemon_hints(server.port());
 
   server.wait_drained();
   server.stop();
@@ -609,37 +497,35 @@ svc::BackendConfig parse_backend(const std::string& arg) {
   char* end = nullptr;
   const long port = std::strtol(port_text.c_str(), &end, 10);
   if (end == port_text.c_str() || *end != '\0' || port <= 0 || port > 65535) {
-    fail("bad backend '" + arg + "' (want host:port[:journal])",
-         kForwardUsage);
+    usage_error("bad backend '" + arg + "' (want host:port[:journal])");
   }
   backend.port = static_cast<std::uint16_t>(port);
   return backend;
 }
 
 int cmd_forward(const Cli& cli) {
-  arm_fault_plan(cli, "forward", kForwardUsage);
+  arm_fault_plan(cli);
   svc::ForwarderConfig config;
   config.address = cli.get("address", "127.0.0.1");
   const std::int64_t port = cli.get_int("port", 0);
   if (port < 0 || port > 65535) {
-    fail("invalid --port (0 = ephemeral, else 1-65535)", kForwardUsage);
+    usage_error("invalid --port (0 = ephemeral, else 1-65535)");
   }
   config.port = static_cast<std::uint16_t>(port);
   config.poll_ms = static_cast<int>(cli.get_int("poll-ms", 250));
   config.down_after = static_cast<int>(cli.get_int("down-after", 2));
   config.io_timeout_ms = static_cast<int>(cli.get_int("timeout-ms", 5000));
   const std::int64_t idle_ms = cli.get_int("idle-timeout-ms", 300'000);
-  if (idle_ms < 0) fail("invalid --idle-timeout-ms (>= 0)", kForwardUsage);
+  if (idle_ms < 0) usage_error("invalid --idle-timeout-ms (>= 0)");
   config.idle_timeout_ms = static_cast<int>(idle_ms);
   const std::int64_t max_line = cli.get_int("max-line", 0);
-  if (max_line < 0) fail("invalid --max-line (bytes, 0 = default)",
-                         kForwardUsage);
+  if (max_line < 0) usage_error("invalid --max-line (bytes, 0 = default)");
   config.max_line = static_cast<std::size_t>(max_line);
   for (const std::string& arg : cli.positional()) {
     config.backends.push_back(parse_backend(arg));
   }
   if (config.backends.empty()) {
-    fail("no backends given (host:port[:journal] ...)", kForwardUsage);
+    usage_error("no backends given (host:port[:journal] ...)");
   }
 
   svc::Forwarder forwarder(std::move(config));
@@ -650,14 +536,10 @@ int cmd_forward(const Cli& cli) {
               static_cast<unsigned>(forwarder.port()),
               forwarder.config().backends.size(), boot.backends_up,
               svc::kProtocolVersion, kVersion);
-  const std::unique_ptr<svc::MetricsHttp> metrics = make_metrics_endpoint(
-      cli, kForwardUsage, "forward", forwarder.config().address,
-      [&forwarder] { return forwarder.metrics_text(); });
-  std::printf("mpa forward: submit with `mpa submit --port %u <kind> <name> "
-              "[key=value ...]`, stop with `mpa drain --port %u --wait`\n",
-              static_cast<unsigned>(forwarder.port()),
-              static_cast<unsigned>(forwarder.port()));
-  std::fflush(stdout);  // scripts parse the port from this line
+  const std::unique_ptr<svc::MetricsHttp> metrics =
+      make_metrics_endpoint(cli, forwarder.config().address,
+                            [&forwarder] { return forwarder.metrics_text(); });
+  print_daemon_hints(forwarder.port());
 
   forwarder.wait_drained();
   const svc::ForwarderStats stats = forwarder.forwarder_stats();
@@ -676,48 +558,134 @@ int cmd_forward(const Cli& cli) {
   return 0;
 }
 
+/// Integer field of a reply, for printf's %llu.
+unsigned long long num(const Json& reply, const char* key) {
+  return static_cast<unsigned long long>(reply.get_number(key, 0));
+}
+
+std::string int_cell(const Json& row, const char* key) {
+  return Table::integer(static_cast<std::uint64_t>(row.get_number(key, 0)));
+}
+
+/// int_cell, or "-" when the row has no such field.
+std::string optional_cell(const Json& row, const char* key) {
+  return row.get(key) != nullptr ? int_cell(row, key) : "-";
+}
+
+/// A millisecond field as a duration, or "-" when the row has none.
+std::string duration_cell(const Json& row, const char* key) {
+  return row.get(key) != nullptr
+             ? format_duration_ms(
+                   static_cast<std::uint64_t>(row.get_number(key, 0)))
+             : "-";
+}
+
+/// The "address:port" cell of a backend row.
+std::string endpoint_cell(const Json& row) {
+  return row.get_string("address", "?") + ":" + int_cell(row, "port");
+}
+
+/// A health row's staleness flag: "STALE", "no", or "-" when unknown.
+std::string stale_cell(const Json& row) {
+  if (row.get("stale") == nullptr) return "-";
+  return row.get_bool("stale", false) ? "STALE" : "no";
+}
+
+/// The daemon's reply to the health op.
+Json health_of(svc::Client& client) {
+  Json request = Json::object();
+  request.set("op", "health");
+  return client.request(request);
+}
+
+/// Reports an error reply as "mpa <subcommand>: <error>"; true when
+/// `response` is one.
+bool refused(const Json& response) {
+  if (response.get_bool("ok", false)) return false;
+  std::fprintf(stderr, "mpa %s: %s\n", g_command->name,
+               response.get_string("error", "unknown error").c_str());
+  return true;
+}
+
 /// One line of placement-policy counters (shared by pool and cluster
 /// stats views).
 void print_placement(const Json* placement, const char* shard_noun) {
   if (placement == nullptr) return;
   std::printf(
       "placement: %llu %s | %llu placed, %llu affinity hits, %llu spills\n",
-      static_cast<unsigned long long>(
-          placement->get_number(shard_noun, 0)),
-      shard_noun,
-      static_cast<unsigned long long>(placement->get_number("placed", 0)),
-      static_cast<unsigned long long>(
-          placement->get_number("affinity_hits", 0)),
-      static_cast<unsigned long long>(placement->get_number("spills", 0)));
+      num(*placement, shard_noun), shard_noun, num(*placement, "placed"),
+      num(*placement, "affinity_hits"), num(*placement, "spills"));
 }
 
-/// "p50 1.2ms / p99 8.4ms" for one histogram summary in the stats
+/// "p50 412us / p99 1.3ms" for one histogram summary in the stats
 /// response's telemetry section; "-" while it has no samples.
 std::string hist_brief(const Json* telemetry, const char* key) {
   const Json* hist = telemetry != nullptr ? telemetry->get(key) : nullptr;
-  if (hist == nullptr ||
-      static_cast<std::uint64_t>(hist->get_number("count", 0)) == 0) {
-    return "-";
+  if (hist == nullptr || num(*hist, "count") == 0) return "-";
+  return "p50 " + format_duration_ns(num(*hist, "p50_ns")) + " / p99 " +
+         format_duration_ns(num(*hist, "p99_ns"));
+}
+
+/// Hit percentage of a counter pair: "<prefix>hits" over
+/// "<prefix>hits" + "<prefix>misses".
+double hit_percent(const Json& counters, const std::string& prefix = "") {
+  const double hits = counters.get_number(prefix + "hits", 0);
+  const double misses = counters.get_number(prefix + "misses", 0);
+  return 100.0 * hits / std::max(1.0, hits + misses);
+}
+
+/// The daemon's "pool: ... inflight ..." summary line of a stats reply;
+/// "" when the reply has no pool/service sections (a forwarder's).
+std::string pool_line(const Json& stats) {
+  const Json* pool = stats.get("pool");
+  const Json* service = stats.get("service");
+  if (pool == nullptr || service == nullptr) return "";
+  char line[512];
+  std::snprintf(
+      line, sizeof(line),
+      "pool: %llu arrays (%llu free) | running %llu, queued %llu | "
+      "inflight %llu/%llu%s | submitted %llu, rejected %llu\n",
+      num(*pool, "arrays"), num(*pool, "free_arrays"), num(*pool, "running"),
+      num(*pool, "queued"), num(*service, "inflight"),
+      num(*service, "max_inflight"),
+      service->get_bool("draining", false) ? " (draining)" : "",
+      num(*service, "submitted"), num(*service, "rejected"));
+  return line;
+}
+
+/// The jobs table of a list reply from row `first` on; `lanes` adds the
+/// lanes column and `cluster` the backend one.
+Table jobs_table(const Json& list, std::size_t first, bool lanes,
+                 bool cluster) {
+  std::vector<std::string> columns = {"job", "name", "kind"};
+  if (lanes) columns.push_back("lanes");
+  columns.insert(columns.end(), {"status", "waves", "age"});
+  if (cluster) columns.push_back("backend");
+  Table table(columns);
+  const Json* jobs = list.get("jobs");
+  if (jobs == nullptr || !jobs->is_array()) return table;
+  const auto& rows = jobs->as_array();
+  for (std::size_t i = first; i < rows.size(); ++i) {
+    const Json& entry = rows[i];
+    std::vector<std::string> row = {int_cell(entry, "job"),
+                                    entry.get_string("name", "?"),
+                                    entry.get_string("kind", "?")};
+    if (lanes) row.push_back(int_cell(entry, "lanes"));
+    // Jobs replayed from an older daemon incarnation carry no admission
+    // stamp — age is unknowable, not zero.
+    row.insert(row.end(), {entry.get_string("status", "?"),
+                           int_cell(entry, "waves"),
+                           duration_cell(entry, "age_ms")});
+    if (cluster) row.push_back(optional_cell(entry, "backend"));
+    table.add_row(row);
   }
-  return "p50 " +
-         format_duration_ns(
-             static_cast<std::uint64_t>(hist->get_number("p50_ns", 0))) +
-         " / p99 " +
-         format_duration_ns(
-             static_cast<std::uint64_t>(hist->get_number("p99_ns", 0)));
+  return table;
 }
 
 int cmd_stats(const Cli& cli) {
-  svc::Client client = make_client(cli, kStatsUsage);
+  svc::Client client = make_client(cli);
   const Json stats = client.stats();
-  if (!stats.get_bool("ok", false)) {
-    std::fprintf(stderr, "mpa stats: %s\n",
-                 stats.get_string("error", "unknown error").c_str());
-    return 1;
-  }
-  const auto row_int = [](const Json& row, const char* key) {
-    return Table::integer(static_cast<std::uint64_t>(row.get_number(key, 0)));
-  };
+  if (refused(stats)) return 1;
   if (stats.get_string("role", "") == "forwarder") {
     Table table({"backend", "endpoint", "up", "arrays", "free", "running",
                  "queued", "done", "failed"});
@@ -726,15 +694,11 @@ int cmd_stats(const Cli& cli) {
         cluster != nullptr ? cluster->get("backends") : nullptr;
     if (backends != nullptr && backends->is_array()) {
       for (const Json& row : backends->as_array()) {
-        table.add_row(
-            {row_int(row, "backend"),
-             row.get_string("address", "?") + ":" +
-                 Table::integer(
-                     static_cast<std::uint64_t>(row.get_number("port", 0))),
-             row.get_bool("reachable", false) ? "yes" : "NO",
-             row_int(row, "arrays"), row_int(row, "free_arrays"),
-             row_int(row, "running"), row_int(row, "queued"),
-             row_int(row, "done"), row_int(row, "failed")});
+        table.add_row({int_cell(row, "backend"), endpoint_cell(row),
+                       row.get_bool("reachable", false) ? "yes" : "NO",
+                       int_cell(row, "arrays"), int_cell(row, "free_arrays"),
+                       int_cell(row, "running"), int_cell(row, "queued"),
+                       int_cell(row, "done"), int_cell(row, "failed")});
       }
     }
     table.print(std::cout);
@@ -744,16 +708,10 @@ int cmd_stats(const Cli& cli) {
           "forwarder: %llu submitted, %llu rejected (%llu shed) | "
           "%llu failovers (%llu resumed), %llu fence cancels, %llu rejoins "
           "| %llu routes, %llu/%llu backends up%s\n",
-          static_cast<unsigned long long>(fwd->get_number("submitted", 0)),
-          static_cast<unsigned long long>(fwd->get_number("rejected", 0)),
-          static_cast<unsigned long long>(fwd->get_number("shed", 0)),
-          static_cast<unsigned long long>(fwd->get_number("failovers", 0)),
-          static_cast<unsigned long long>(
-              fwd->get_number("failover_resumed", 0)),
-          static_cast<unsigned long long>(fwd->get_number("fences", 0)),
-          static_cast<unsigned long long>(fwd->get_number("rejoins", 0)),
-          static_cast<unsigned long long>(fwd->get_number("routes", 0)),
-          static_cast<unsigned long long>(fwd->get_number("backends_up", 0)),
+          num(*fwd, "submitted"), num(*fwd, "rejected"), num(*fwd, "shed"),
+          num(*fwd, "failovers"), num(*fwd, "failover_resumed"),
+          num(*fwd, "fences"), num(*fwd, "rejoins"), num(*fwd, "routes"),
+          num(*fwd, "backends_up"),
           static_cast<unsigned long long>(
               backends != nullptr ? backends->as_array().size() : 0),
           fwd->get_bool("draining", false) ? " (draining)" : "");
@@ -764,15 +722,16 @@ int cmd_stats(const Cli& cli) {
   Table table({"pool", "arrays", "free", "running", "queued", "submitted",
                "done", "failed", "quarantined"});
   const auto pool_row = [&](const std::string& label, const Json& row) {
-    table.add_row({label, row_int(row, "arrays"), row_int(row, "free_arrays"),
-                   row_int(row, "running"), row_int(row, "queued"),
-                   row_int(row, "submitted"), row_int(row, "done"),
-                   row_int(row, "failed"), row_int(row, "quarantined")});
+    table.add_row({label, int_cell(row, "arrays"),
+                   int_cell(row, "free_arrays"), int_cell(row, "running"),
+                   int_cell(row, "queued"), int_cell(row, "submitted"),
+                   int_cell(row, "done"), int_cell(row, "failed"),
+                   int_cell(row, "quarantined")});
   };
   const Json* pools = stats.get("pools");
   if (pools != nullptr && pools->is_array()) {
     for (const Json& row : pools->as_array()) {
-      pool_row(row_int(row, "pool"), row);
+      pool_row(int_cell(row, "pool"), row);
     }
   }
   if (const Json* pool = stats.get("pool"); pool != nullptr) {
@@ -783,17 +742,11 @@ int cmd_stats(const Cli& cli) {
   const Json* cache = stats.get("cache");
   const Json* memo = stats.get("memo");
   if (cache != nullptr && memo != nullptr) {
-    const double cache_total = cache->get_number("hits", 0) +
-                               cache->get_number("misses", 0);
-    const double memo_total =
-        memo->get_number("hits", 0) + memo->get_number("misses", 0);
     std::printf(
         "cache: %.1f%% hit rate (%llu evictions) | memo: %.1f%% hit rate "
         "(%llu entries)\n",
-        100.0 * cache->get_number("hits", 0) / std::max(1.0, cache_total),
-        static_cast<unsigned long long>(cache->get_number("evictions", 0)),
-        100.0 * memo->get_number("hits", 0) / std::max(1.0, memo_total),
-        static_cast<unsigned long long>(memo->get_number("evictions", 0)));
+        hit_percent(*cache), num(*cache, "evictions"), hit_percent(*memo),
+        num(*memo, "evictions"));
   }
   if (const Json* telemetry = stats.get("telemetry"); telemetry != nullptr) {
     std::printf("latency: submit->ack %s | mission wall %s\n",
@@ -806,14 +759,10 @@ int cmd_stats(const Cli& cli) {
 /// mpa submit --manifest: the whole job file goes up in ONE submit_batch
 /// round trip (atomic admission), then results are collected per job.
 int cmd_submit_manifest(const Cli& cli, const std::string& manifest_path) {
-  std::ifstream manifest(manifest_path);
-  if (!manifest) fail("cannot open manifest " + manifest_path, kSubmitUsage);
-  const std::vector<sched::MissionSpec> specs =
-      sched::parse_manifest(manifest);
-  if (specs.empty()) fail("manifest has no jobs: " + manifest_path);
-  const bool detach = bare_flag(cli, "detach", kSubmitUsage);
+  const std::vector<sched::MissionSpec> specs = read_manifest(manifest_path);
+  const bool detach = bare_flag(cli, "detach");
 
-  svc::Client client = make_client(cli, kSubmitUsage);
+  svc::Client client = make_client(cli);
   const svc::Client::BatchSubmitted submitted = client.submit_batch(specs);
   if (!submitted.ok) {
     std::fprintf(stderr, "mpa submit: batch rejected: %s\n",
@@ -831,17 +780,11 @@ int cmd_submit_manifest(const Cli& cli, const std::string& manifest_path) {
     const Json result = client.result(submitted.jobs[i]);
     const std::string status = result.get_string("status", "?");
     all_done = all_done && status == "done";
-    const double memo_total = result.get_number("memo_hits", 0) +
-                              result.get_number("memo_misses", 0);
-    table.add_row(
-        {Table::integer(submitted.jobs[i]), specs[i].name,
-         sched::kind_name(specs[i].kind), status,
-         Table::integer(
-             static_cast<std::uint64_t>(result.get_number("best_fitness", 0))),
-         Table::num(result.get_number("sim_s", 0.0), 3),
-         Table::num(100.0 * result.get_number("memo_hits", 0) /
-                        std::max(1.0, memo_total),
-                    1)});
+    table.add_row({Table::integer(submitted.jobs[i]), specs[i].name,
+                   sched::kind_name(specs[i].kind), status,
+                   int_cell(result, "best_fitness"),
+                   Table::num(result.get_number("sim_s", 0.0), 3),
+                   Table::num(hit_percent(result, "memo_"), 1)});
   }
   table.print(std::cout);
   return all_done ? 0 : 1;
@@ -850,25 +793,25 @@ int cmd_submit_manifest(const Cli& cli, const std::string& manifest_path) {
 /// Builds a mission spec from positionals: <kind> <name> [key=value ...]
 /// (the Cli treats the subcommand word as argv[0], so positionals start
 /// at the mission kind). Shared by submit and checkpoint.
-sched::MissionSpec spec_from_args(const Cli& cli, const char* cmd_usage) {
+sched::MissionSpec spec_from_args(const Cli& cli) {
   const std::vector<std::string>& args = cli.positional();
-  if (args.size() < 2) fail("missing mission kind and name", cmd_usage);
+  if (args.size() < 2) usage_error("missing mission kind and name");
   sched::MissionSpec spec;
   if (!sched::parse_kind(args[0], spec.kind)) {
-    fail("unknown mission kind '" + args[0] + "'", cmd_usage);
+    usage_error("unknown mission kind '" + args[0] + "'");
   }
   spec.name = args[1];
   for (std::size_t i = 2; i < args.size(); ++i) {
     const std::size_t eq = args[i].find('=');
     if (eq == std::string::npos || eq == 0 || eq + 1 == args[i].size()) {
-      fail("expected key=value, got '" + args[i] + "'", cmd_usage);
+      usage_error("expected key=value, got '" + args[i] + "'");
     }
     const std::string error = sched::apply_spec_option(
         spec, args[i].substr(0, eq), args[i].substr(eq + 1));
-    if (!error.empty()) fail(error, cmd_usage);
+    if (!error.empty()) usage_error(error);
   }
   const std::string invalid = sched::validate_spec(spec);
-  if (!invalid.empty()) fail(invalid, cmd_usage);
+  if (!invalid.empty()) usage_error(invalid);
   return spec;
 }
 
@@ -880,8 +823,7 @@ int print_result_response(const Json& response) {
     return 1;
   }
   const std::string status = response.get_string("status", "?");
-  const auto id =
-      static_cast<unsigned long long>(response.get_number("job", 0));
+  const unsigned long long id = num(response, "job");
   if (status != "done") {
     std::printf("job %llu %s: %s\n", id, status.c_str(),
                 response.get_string("error", "(no error detail)").c_str());
@@ -891,11 +833,9 @@ int print_result_response(const Json& response) {
       "job %llu done%s: fitness %llu, genotype %s, %llu generations, "
       "%.3f sim s\n",
       id, response.get_bool("replayed", false) ? " (replayed)" : "",
-      static_cast<unsigned long long>(
-          response.get_number("best_fitness", 0)),
+      num(response, "best_fitness"),
       response.get_string("genotype_hash", "?").c_str(),
-      static_cast<unsigned long long>(response.get_number("generations", 0)),
-      response.get_number("sim_s", 0.0));
+      num(response, "generations"), response.get_number("sim_s", 0.0));
   return 0;
 }
 
@@ -907,7 +847,7 @@ int print_result_response(const Json& response) {
 int cmd_submit_retrying(const Cli& cli, const sched::MissionSpec& spec,
                         bool detach) {
   const svc::RetryPolicy policy = retry_policy_from_cli(cli);
-  const std::uint16_t port = require_port(cli, kSubmitUsage);
+  const std::uint16_t port = require_port(cli);
   const std::string address = cli.get("address", "127.0.0.1");
   const svc::IdempotentSubmit submitted =
       svc::submit_idempotent(port, address, spec, policy);
@@ -925,7 +865,7 @@ int cmd_submit_retrying(const Cli& cli, const sched::MissionSpec& spec,
   // Follow the mission BY NAME: watch_mission re-resolves and
   // re-subscribes across daemon restarts and forwarder failovers (the
   // job id may change; the name never does), so --wait rides through.
-  const bool quiet = bare_flag(cli, "quiet", kSubmitUsage);
+  const bool quiet = bare_flag(cli, "quiet");
   const std::uint64_t every =
       std::max<std::uint64_t>(1, spec.generations / 10);
   try {
@@ -944,22 +884,23 @@ int cmd_submit_retrying(const Cli& cli, const sched::MissionSpec& spec,
     // The stream is a convenience; the result fetch below is the truth.
     std::fprintf(stderr, "mpa submit: %s\n", e.what());
   }
-  const Json response = svc::with_retry(
-      port, address, policy,
-      [&spec](svc::Client& client) { return client.result_by_name(spec.name); });
+  const Json response =
+      svc::with_retry(port, address, policy, [&spec](svc::Client& client) {
+        return client.result_by_name(spec.name);
+      });
   return print_result_response(response);
 }
 
 int cmd_submit(const Cli& cli) {
   const std::string manifest_path = cli.get("manifest", "");
   if (!manifest_path.empty()) return cmd_submit_manifest(cli, manifest_path);
-  const sched::MissionSpec spec = spec_from_args(cli, kSubmitUsage);
-  const bool detach = bare_flag(cli, "detach", kSubmitUsage);
+  const sched::MissionSpec spec = spec_from_args(cli);
+  const bool detach = bare_flag(cli, "detach");
   if (cli.get_int("retries", 0) > 0) {
     return cmd_submit_retrying(cli, spec, detach);
   }
 
-  svc::Client client = make_client(cli, kSubmitUsage);
+  svc::Client client = make_client(cli);
   const svc::Client::Submitted submitted = client.submit(spec);
   if (!submitted.ok) {
     std::fprintf(stderr, "mpa submit: rejected: %s\n",
@@ -972,7 +913,7 @@ int cmd_submit(const Cli& cli) {
               client.server_version().c_str());
   if (detach) return 0;
 
-  const bool quiet = bare_flag(cli, "quiet", kSubmitUsage);
+  const bool quiet = bare_flag(cli, "quiet");
   // ~10 progress lines regardless of the mission's budget.
   const std::uint64_t every =
       std::max<std::uint64_t>(1, spec.generations / 10);
@@ -991,58 +932,56 @@ int cmd_submit(const Cli& cli) {
   if (status == "done") {
     std::printf("fitness %llu, genotype %s, %llu generations, %.3f sim s, "
                 "cache %.1f%%\n",
-                static_cast<unsigned long long>(
-                    result.get_number("best_fitness", 0)),
+                num(result, "best_fitness"),
                 result.get_string("genotype_hash", "?").c_str(),
-                static_cast<unsigned long long>(
-                    result.get_number("generations", 0)),
-                result.get_number("sim_s", 0.0),
-                100.0 * result.get_number("cache_hits", 0) /
-                    std::max(1.0, result.get_number("cache_hits", 0) +
-                                      result.get_number("cache_misses", 0)));
+                num(result, "generations"), result.get_number("sim_s", 0.0),
+                hit_percent(result, "cache_"));
     return 0;
   }
   std::printf("%s\n", result.get_string("error", "(no error detail)").c_str());
   return 1;
 }
 
-/// Job reference fields: all-digits means an id, anything else a name.
+/// The one --job parser: all digits means an id (which must fit in 64
+/// bits), anything else a name. Callers run it before connecting, so a
+/// bad reference never reaches the daemon.
 void set_job_field(Json& request, const std::string& job) {
-  if (!job.empty() &&
-      job.find_first_not_of("0123456789") == std::string::npos) {
-    request.set("job", static_cast<std::uint64_t>(std::stoull(job)));
-  } else {
-    request.set("job", job);
+  if (job.empty() ||
+      job.find_first_not_of("0123456789") != std::string::npos) {
+    request.set("job", job);  // by name
+    return;
   }
+  errno = 0;
+  const unsigned long long id = std::strtoull(job.c_str(), nullptr, 10);
+  if (errno == ERANGE) usage_error("--job id out of range");
+  request.set("job", static_cast<std::uint64_t>(id));
 }
 
 int cmd_result(const Cli& cli) {
-  const std::string job = require(cli, "job", kResultUsage);
   Json request = Json::object();
   request.set("op", "result");
-  set_job_field(request, job);
+  set_job_field(request, require(cli, "job"));
   if (cli.get_int("retries", 0) > 0) {
     // Result is idempotent (a pure read), so a lost connection just
     // re-asks a fresh one — the restarted daemon re-serves finished
     // results from its journal.
     const Json response = svc::with_retry(
-        require_port(cli, kResultUsage), cli.get("address", "127.0.0.1"),
+        require_port(cli), cli.get("address", "127.0.0.1"),
         retry_policy_from_cli(cli),
         [&request](svc::Client& client) { return client.request(request); });
     return print_result_response(response);
   }
-  svc::Client client = make_client(cli, kResultUsage);
+  svc::Client client = make_client(cli);
   return print_result_response(client.request(request));
 }
 
 /// Final line of a standalone checkpoint/restore run. The fields are the
 /// bit-identity contract: a restored run prints the same fitness and
 /// genotype hash as the uninterrupted run of the same spec.
-int report_standalone_outcome(const char* verb,
-                              const sched::MissionSpec& spec,
+int report_standalone_outcome(const sched::MissionSpec& spec,
                               const sched::JobOutcome& outcome) {
   if (!outcome.error.empty()) {
-    std::fprintf(stderr, "mpa %s: mission failed: %s\n", verb,
+    std::fprintf(stderr, "mpa %s: mission failed: %s\n", g_command->name,
                  outcome.error.c_str());
     return 1;
   }
@@ -1051,21 +990,19 @@ int report_standalone_outcome(const char* verb,
   std::printf(
       "mpa %s: %s %s fitness %llu genotype %s generations %llu "
       "sim %.3f s\n",
-      verb, sched::kind_name(spec.kind), spec.name.c_str(),
-      static_cast<unsigned long long>(body.get_number("best_fitness", 0)),
-      body.get_string("genotype_hash", "?").c_str(),
-      static_cast<unsigned long long>(body.get_number("generations", 0)),
-      body.get_number("sim_s", 0.0));
+      g_command->name, sched::kind_name(spec.kind), spec.name.c_str(),
+      num(body, "best_fitness"), body.get_string("genotype_hash", "?").c_str(),
+      num(body, "generations"), body.get_number("sim_s", 0.0));
   return 0;
 }
 
 int cmd_checkpoint(const Cli& cli) {
-  const sched::MissionSpec spec = spec_from_args(cli, kCheckpointUsage);
-  const std::string out_path = require(cli, "out", kCheckpointUsage);
+  const sched::MissionSpec spec = spec_from_args(cli);
+  const std::string out_path = require(cli, "out");
   const std::int64_t every = cli.get_int("every", 25);
   const std::int64_t preempt = cli.get_int("preempt", 0);
   if (every < 0 || preempt < 0) {
-    fail("--every and --preempt must be >= 0", kCheckpointUsage);
+    usage_error("--every and --preempt must be >= 0");
   }
 
   sched::MissionCheckpointing ck;
@@ -1099,17 +1036,17 @@ int cmd_checkpoint(const Cli& cli) {
   }
   std::printf("mpa checkpoint: %llu checkpoints -> %s\n",
               static_cast<unsigned long long>(written), out_path.c_str());
-  return report_standalone_outcome("checkpoint", spec, outcome);
+  return report_standalone_outcome(spec, outcome);
 }
 
 int cmd_restore(const Cli& cli) {
-  const std::string from = require(cli, "from", kRestoreUsage);
+  const std::string from = require(cli, "from");
   sched::MissionSpec spec;
   auto resume = std::make_shared<platform::MissionCheckpoint>();
   if (const std::string error =
           sched::load_mission_checkpoint(from, spec, *resume);
       !error.empty()) {
-    fail("cannot load " + from + ": " + error, kRestoreUsage);
+    usage_error("cannot load " + from + ": " + error);
   }
   // --lanes resumes onto a different physical slice width (migration in
   // miniature): the checkpoint's logical lane count still drives the
@@ -1117,100 +1054,43 @@ int cmd_restore(const Cli& cli) {
   // than logical the simulated time honestly dilates. Cascades refuse a
   // mismatch (stage count is structure).
   const std::int64_t lanes = cli.get_int("lanes", 0);
-  if (lanes < 0) fail("--lanes must be >= 1", kRestoreUsage);
+  if (lanes < 0) usage_error("--lanes must be >= 1");
   if (lanes > 0) spec.lanes = static_cast<std::size_t>(lanes);
   sched::MissionCheckpointing ck;
   ck.resume = std::move(resume);
   ThreadPool host_pool;
   const sched::JobOutcome outcome =
       sched::run_spec_standalone(spec, &host_pool, ck);
-  return report_standalone_outcome("restore", spec, outcome);
+  return report_standalone_outcome(spec, outcome);
 }
 
 int cmd_ps(const Cli& cli) {
-  const bool cluster = bare_flag(cli, "cluster", kPsUsage);
-  svc::Client client = make_client(cli, kPsUsage);
+  const bool cluster = bare_flag(cli, "cluster");
+  svc::Client client = make_client(cli);
   const Json list = client.list();
   const Json stats = client.stats();
-  std::vector<std::string> columns = {"job",   "name",   "kind",
-                                      "lanes", "status", "waves", "age"};
-  if (cluster) columns.push_back("backend");
-  Table table(columns);
-  const Json* jobs = list.get("jobs");
-  if (jobs != nullptr && jobs->is_array()) {
-    for (const Json& entry : jobs->as_array()) {
-      std::vector<std::string> row = {
-          Table::integer(
-              static_cast<std::uint64_t>(entry.get_number("job", 0))),
-          entry.get_string("name", "?"), entry.get_string("kind", "?"),
-          Table::integer(
-              static_cast<std::uint64_t>(entry.get_number("lanes", 0))),
-          entry.get_string("status", "?"),
-          Table::integer(
-              static_cast<std::uint64_t>(entry.get_number("waves", 0))),
-          // Jobs replayed from an older daemon incarnation carry no
-          // admission stamp — age is unknowable, not zero.
-          entry.get("age_ms") != nullptr
-              ? format_duration_ms(static_cast<std::uint64_t>(
-                    entry.get_number("age_ms", 0)))
-              : "-"};
-      if (cluster) {
-        row.push_back(entry.get("backend") != nullptr
-                          ? Table::integer(static_cast<std::uint64_t>(
-                                entry.get_number("backend", 0)))
-                          : "-");
-      }
-      table.add_row(row);
-    }
-  }
-  table.print(std::cout);
+  jobs_table(list, 0, /*lanes=*/true, cluster).print(std::cout);
   if (cluster) {
     if (const Json* fwd = stats.get("forwarder"); fwd != nullptr) {
       std::printf(
           "cluster: %llu submitted, %llu rejected | %llu failovers "
           "(%llu resumed) | %llu backends up%s\n",
-          static_cast<unsigned long long>(fwd->get_number("submitted", 0)),
-          static_cast<unsigned long long>(fwd->get_number("rejected", 0)),
-          static_cast<unsigned long long>(fwd->get_number("failovers", 0)),
-          static_cast<unsigned long long>(
-              fwd->get_number("failover_resumed", 0)),
-          static_cast<unsigned long long>(fwd->get_number("backends_up", 0)),
+          num(*fwd, "submitted"), num(*fwd, "rejected"),
+          num(*fwd, "failovers"), num(*fwd, "failover_resumed"),
+          num(*fwd, "backends_up"),
           fwd->get_bool("draining", false) ? " (draining)" : "");
     }
   }
-  const Json* pool = stats.get("pool");
-  const Json* service = stats.get("service");
-  if (pool != nullptr && service != nullptr) {
-    std::printf(
-        "pool: %llu arrays (%llu free) | running %llu, queued %llu | "
-        "inflight %llu/%llu%s | submitted %llu, rejected %llu\n",
-        static_cast<unsigned long long>(pool->get_number("arrays", 0)),
-        static_cast<unsigned long long>(pool->get_number("free_arrays", 0)),
-        static_cast<unsigned long long>(pool->get_number("running", 0)),
-        static_cast<unsigned long long>(pool->get_number("queued", 0)),
-        static_cast<unsigned long long>(service->get_number("inflight", 0)),
-        static_cast<unsigned long long>(
-            service->get_number("max_inflight", 0)),
-        service->get_bool("draining", false) ? " (draining)" : "",
-        static_cast<unsigned long long>(service->get_number("submitted", 0)),
-        static_cast<unsigned long long>(service->get_number("rejected", 0)));
-  }
+  std::fputs(pool_line(stats).c_str(), stdout);
   const Json* journal = stats.get("journal");
   if (journal != nullptr) {
     std::printf(
         "journal: %s | %llu appended, %llu replayed (%llu re-served, "
         "%llu resumed, %llu from checkpoint), %llu checkpoints written%s\n",
-        journal->get_string("dir", "?").c_str(),
-        static_cast<unsigned long long>(journal->get_number("appended", 0)),
-        static_cast<unsigned long long>(
-            journal->get_number("replayed_records", 0)),
-        static_cast<unsigned long long>(
-            journal->get_number("replayed_finished", 0)),
-        static_cast<unsigned long long>(journal->get_number("resumed", 0)),
-        static_cast<unsigned long long>(
-            journal->get_number("resumed_from_checkpoint", 0)),
-        static_cast<unsigned long long>(
-            journal->get_number("checkpoints_written", 0)),
+        journal->get_string("dir", "?").c_str(), num(*journal, "appended"),
+        num(*journal, "replayed_records"), num(*journal, "replayed_finished"),
+        num(*journal, "resumed"), num(*journal, "resumed_from_checkpoint"),
+        num(*journal, "checkpoints_written"),
         journal->get_bool("truncated_tail", false) ? " [truncated tail]"
                                                    : "");
   }
@@ -1218,53 +1098,33 @@ int cmd_ps(const Cli& cli) {
 }
 
 int cmd_cancel(const Cli& cli) {
-  const std::string job = require(cli, "job", kCancelUsage);
-  svc::Client client = make_client(cli, kCancelUsage);
   Json request = Json::object();
   request.set("op", "cancel");
-  if (job.find_first_not_of("0123456789") == std::string::npos) {
-    request.set("job", static_cast<std::uint64_t>(std::stoull(job)));
-  } else {
-    request.set("job", job);  // by name
-  }
+  set_job_field(request, require(cli, "job"));
+  svc::Client client = make_client(cli);
   const Json response = client.request(request);
-  if (!response.get_bool("ok", false)) {
-    std::fprintf(stderr, "mpa cancel: %s\n",
-                 response.get_string("error", "unknown error").c_str());
-    return 1;
-  }
+  if (refused(response)) return 1;
   std::printf("cancel requested for job %llu (status %s)\n",
-              static_cast<unsigned long long>(response.get_number("job", 0)),
+              num(response, "job"),
               response.get_string("status", "?").c_str());
   return 0;
 }
 
 int cmd_drain(const Cli& cli) {
-  const bool wait = bare_flag(cli, "wait", kDrainUsage);
-  svc::Client client = make_client(cli, kDrainUsage);
+  const bool wait = bare_flag(cli, "wait");
+  svc::Client client = make_client(cli);
   const Json response = client.drain(wait);
-  if (!response.get_bool("ok", false)) {
-    std::fprintf(stderr, "mpa drain: %s\n",
-                 response.get_string("error", "unknown error").c_str());
-    return 1;
-  }
+  if (refused(response)) return 1;
   std::printf("service draining; %llu missions still in flight\n",
-              static_cast<unsigned long long>(
-                  response.get_number("inflight", 0)));
+              num(response, "inflight"));
   return 0;
 }
 
 int cmd_health(const Cli& cli) {
-  const bool cluster = bare_flag(cli, "cluster", kHealthUsage);
-  svc::Client client = make_client(cli, kHealthUsage);
-  Json request = Json::object();
-  request.set("op", "health");
-  const Json response = client.request(request);
-  if (!response.get_bool("ok", false)) {
-    std::fprintf(stderr, "mpa health: %s\n",
-                 response.get_string("error", "unknown error").c_str());
-    return 1;
-  }
+  const bool cluster = bare_flag(cli, "cluster");
+  svc::Client client = make_client(cli);
+  const Json response = health_of(client);
+  if (refused(response)) return 1;
   if (cluster) {
     // Forwarder view: one row per backend daemon. "STALE" flags a
     // backend that answers but whose last good stats poll is older than
@@ -1276,41 +1136,17 @@ int cmd_health(const Cli& cli) {
     if (backends != nullptr && backends->is_array()) {
       for (const Json& entry : backends->as_array()) {
         if (entry.get_bool("removed", false)) {
-          table.add_row(
-              {Table::integer(static_cast<std::uint64_t>(
-                   entry.get_number("backend", 0))),
-               entry.get_string("address", "?") + ":" +
-                   Table::integer(static_cast<std::uint64_t>(
-                       entry.get_number("port", 0))),
-               "removed", "-", "-", "-", "-", "-", "-", "-", "-"});
+          table.add_row({int_cell(entry, "backend"), endpoint_cell(entry),
+                         "removed", "-", "-", "-", "-", "-", "-", "-", "-"});
           continue;
         }
         table.add_row(
-            {Table::integer(
-                 static_cast<std::uint64_t>(entry.get_number("backend", 0))),
-             entry.get_string("address", "?") + ":" +
-                 Table::integer(static_cast<std::uint64_t>(
-                     entry.get_number("port", 0))),
+            {int_cell(entry, "backend"), endpoint_cell(entry),
              entry.get_bool("reachable", false) ? "yes" : "NO",
-             entry.get("epoch") != nullptr
-                 ? Table::integer(static_cast<std::uint64_t>(
-                       entry.get_number("epoch", 0)))
-                 : "-",
-             entry.get("poll_age_ms") != nullptr
-                 ? format_duration_ms(static_cast<std::uint64_t>(
-                       entry.get_number("poll_age_ms", 0)))
-                 : "-",
-             entry.get("stale") != nullptr
-                 ? (entry.get_bool("stale", false) ? "STALE" : "no")
-                 : "-",
-             Table::integer(
-                 static_cast<std::uint64_t>(entry.get_number("healthy", 0))),
-             Table::integer(static_cast<std::uint64_t>(
-                 entry.get_number("quarantined", 0))),
-             Table::integer(static_cast<std::uint64_t>(
-                 entry.get_number("preempted", 0))),
-             Table::integer(static_cast<std::uint64_t>(
-                 entry.get_number("migrations", 0))),
+             optional_cell(entry, "epoch"),
+             duration_cell(entry, "poll_age_ms"), stale_cell(entry),
+             int_cell(entry, "healthy"), int_cell(entry, "quarantined"),
+             int_cell(entry, "preempted"), int_cell(entry, "migrations"),
              entry.get_string("last_fence", "-")});
       }
     }
@@ -1318,12 +1154,8 @@ int cmd_health(const Cli& cli) {
     std::printf(
         "cluster: healthy %llu, quarantined %llu, stale backends %llu, "
         "unreachable backends %llu\n",
-        static_cast<unsigned long long>(response.get_number("healthy", 0)),
-        static_cast<unsigned long long>(
-            response.get_number("quarantined", 0)),
-        static_cast<unsigned long long>(response.get_number("stale", 0)),
-        static_cast<unsigned long long>(
-            response.get_number("unreachable", 0)));
+        num(response, "healthy"), num(response, "quarantined"),
+        num(response, "stale"), num(response, "unreachable"));
     return response.get_number("unreachable", 0) == 0 ? 0 : 1;
   }
   Table table({"array", "pool", "state", "job"});
@@ -1334,24 +1166,17 @@ int cmd_health(const Cli& cli) {
       if (entry.get_bool("pending_quarantine", false)) {
         state += " (quarantine pending)";
       }
-      table.add_row(
-          {Table::integer(
-               static_cast<std::uint64_t>(entry.get_number("array", 0))),
-           Table::integer(
-               static_cast<std::uint64_t>(entry.get_number("pool", 0))),
-           state, entry.get_string("job", "")});
+      table.add_row({int_cell(entry, "array"), int_cell(entry, "pool"), state,
+                     entry.get_string("job", "")});
     }
   }
   table.print(std::cout);
   std::printf(
       "healthy %llu, quarantined %llu | preempted %llu, migrated %llu, "
       "deadline-expired %llu\n",
-      static_cast<unsigned long long>(response.get_number("healthy", 0)),
-      static_cast<unsigned long long>(response.get_number("quarantined", 0)),
-      static_cast<unsigned long long>(response.get_number("preempted", 0)),
-      static_cast<unsigned long long>(response.get_number("migrations", 0)),
-      static_cast<unsigned long long>(
-          response.get_number("deadline_expired", 0)));
+      num(response, "healthy"), num(response, "quarantined"),
+      num(response, "preempted"), num(response, "migrations"),
+      num(response, "deadline_expired"));
   const Json* faults = response.get("faults");
   if (faults != nullptr && faults->get_bool("active", false)) {
     std::printf("fault plan ACTIVE:\n");
@@ -1359,10 +1184,7 @@ int cmd_health(const Cli& cli) {
     if (sites != nullptr && sites->is_object()) {
       for (const auto& [site, counters] : sites->as_object()) {
         std::printf("  %-16s %llu hits, %llu fired\n", site.c_str(),
-                    static_cast<unsigned long long>(
-                        counters.get_number("hits", 0)),
-                    static_cast<unsigned long long>(
-                        counters.get_number("fired", 0)));
+                    num(counters, "hits"), num(counters, "fired"));
       }
     }
   }
@@ -1374,16 +1196,15 @@ int cmd_health(const Cli& cli) {
 /// tombstone one (its unfinished missions evacuate to the survivors).
 int cmd_backend(const Cli& cli) {
   const std::vector<std::string>& args = cli.positional();
-  if (args.empty()) fail("missing action (list|add|remove)", kBackendUsage);
+  if (args.empty()) usage_error("missing action (list|add|remove)");
   const std::string& action = args.front();
-  svc::Client client = make_client(cli, kBackendUsage);
+  svc::Client client = make_client(cli);
   Json request = Json::object();
   request.set("op", "backend");
   request.set("action", action);
   if (action == "add") {
     if (args.size() != 2) {
-      fail("backend add needs one host:port[:journal] endpoint",
-           kBackendUsage);
+      usage_error("backend add needs one host:port[:journal] endpoint");
     }
     const svc::BackendConfig endpoint = parse_backend(args[1]);
     request.set("address", endpoint.address);
@@ -1393,21 +1214,15 @@ int cmd_backend(const Cli& cli) {
     }
   } else if (action == "remove") {
     const std::int64_t index = cli.get_int("backend", -1);
-    if (index < 0) fail("backend remove needs --backend INDEX", kBackendUsage);
+    if (index < 0) usage_error("backend remove needs --backend INDEX");
     request.set("backend", static_cast<std::uint64_t>(index));
   } else if (action != "list") {
-    fail("unknown action '" + action + "' (list|add|remove)", kBackendUsage);
+    usage_error("unknown action '" + action + "' (list|add|remove)");
   }
   const Json response = client.request(request);
-  if (!response.get_bool("ok", false)) {
-    std::fprintf(stderr, "mpa backend: %s\n",
-                 response.get_string("error", "unknown error").c_str());
-    return 1;
-  }
+  if (refused(response)) return 1;
   if (action == "add") {
-    std::printf("backend %llu added (%s)\n",
-                static_cast<unsigned long long>(
-                    response.get_number("backend", 0)),
+    std::printf("backend %llu added (%s)\n", num(response, "backend"),
                 response.get_bool("reachable", false)
                     ? "reachable"
                     : "NOT reachable yet — it will be polled");
@@ -1415,10 +1230,7 @@ int cmd_backend(const Cli& cli) {
   }
   if (action == "remove") {
     std::printf("backend %llu removed, %llu mission(s) evacuated\n",
-                static_cast<unsigned long long>(
-                    response.get_number("backend", 0)),
-                static_cast<unsigned long long>(
-                    response.get_number("evacuated", 0)));
+                num(response, "backend"), num(response, "evacuated"));
     return 0;
   }
   Table table({"backend", "endpoint", "reachable", "epoch", "instance",
@@ -1426,31 +1238,17 @@ int cmd_backend(const Cli& cli) {
   const Json* backends = response.get("backends");
   if (backends != nullptr && backends->is_array()) {
     for (const Json& entry : backends->as_array()) {
-      const std::string endpoint =
-          entry.get_string("address", "?") + ":" +
-          Table::integer(
-              static_cast<std::uint64_t>(entry.get_number("port", 0)));
       if (entry.get_bool("removed", false)) {
-        table.add_row(
-            {Table::integer(static_cast<std::uint64_t>(
-                 entry.get_number("backend", 0))),
-             endpoint, "removed", "-", "-", "-", "-", "-"});
+        table.add_row({int_cell(entry, "backend"), endpoint_cell(entry),
+                       "removed", "-", "-", "-", "-", "-"});
         continue;
       }
-      table.add_row(
-          {Table::integer(
-               static_cast<std::uint64_t>(entry.get_number("backend", 0))),
-           endpoint, entry.get_bool("reachable", false) ? "yes" : "NO",
-           entry.get("epoch") != nullptr
-               ? Table::integer(static_cast<std::uint64_t>(
-                     entry.get_number("epoch", 0)))
-               : "-",
-           entry.get_string("instance_id", "-"),
-           Table::integer(
-               static_cast<std::uint64_t>(entry.get_number("rejoins", 0))),
-           Table::integer(
-               static_cast<std::uint64_t>(entry.get_number("fences", 0))),
-           entry.get_string("last_fence", "-")});
+      table.add_row({int_cell(entry, "backend"), endpoint_cell(entry),
+                     entry.get_bool("reachable", false) ? "yes" : "NO",
+                     optional_cell(entry, "epoch"),
+                     entry.get_string("instance_id", "-"),
+                     int_cell(entry, "rejoins"), int_cell(entry, "fences"),
+                     entry.get_string("last_fence", "-")});
     }
   }
   table.print(std::cout);
@@ -1461,19 +1259,18 @@ int cmd_backend(const Cli& cli) {
 /// order, so `mpa trace out.json --clear` snapshots the rings and then
 /// resets them — the natural profiling loop.
 int cmd_trace(const Cli& cli) {
-  const bool arm = bare_flag(cli, "arm", kTraceUsage);
-  const bool disarm = bare_flag(cli, "disarm", kTraceUsage);
-  const bool clear = bare_flag(cli, "clear", kTraceUsage);
-  if (arm && disarm) fail("--arm and --disarm conflict", kTraceUsage);
+  const bool arm = bare_flag(cli, "arm");
+  const bool disarm = bare_flag(cli, "disarm");
+  const bool clear = bare_flag(cli, "clear");
+  if (arm && disarm) usage_error("--arm and --disarm conflict");
   const std::vector<std::string>& args = cli.positional();
-  if (args.size() > 1) fail("expected at most one OUT.json", kTraceUsage);
+  if (args.size() > 1) usage_error("expected at most one OUT.json");
   const std::string out_path = args.empty() ? "" : args.front();
   if (out_path.empty() && !arm && !disarm && !clear) {
-    fail("nothing to do (give OUT.json and/or --arm/--disarm/--clear)",
-         kTraceUsage);
+    usage_error("nothing to do (give OUT.json and/or --arm/--disarm/--clear)");
   }
 
-  svc::Client client = make_client(cli, kTraceUsage);
+  svc::Client client = make_client(cli);
   const auto trace_op = [&client](const char* mode) -> Json {
     Json request = Json::object();
     request.set("op", "trace");
@@ -1510,9 +1307,7 @@ int cmd_trace(const Cli& cli) {
   std::printf("mpa trace: tracer %s | %llu spans in the rings, %llu "
               "dropped\n",
               last.get_bool("armed", false) ? "armed" : "disarmed",
-              static_cast<unsigned long long>(
-                  last.get_number("recorded", 0)),
-              static_cast<unsigned long long>(last.get_number("dropped", 0)));
+              num(last, "recorded"), num(last, "dropped"));
   return 0;
 }
 
@@ -1572,8 +1367,6 @@ bool top_wait_quit(bool keys, int ms) {
   }
 }
 
-/// "p50 412us / p99 1.3ms" from one of the stats op's telemetry
-/// summaries; "-" until the histogram has samples.
 /// One `mpa top` frame, composed off-screen and emitted as a single
 /// write after the clear escape so the redraw doesn't flicker. `health`
 /// is non-null only for the forwarder view (stale backend flags).
@@ -1602,32 +1395,14 @@ std::string render_top_frame(const Json& stats, const Json& list,
         std::string stale = "-";
         if (health_backends != nullptr && health_backends->is_array() &&
             i < health_backends->as_array().size()) {
-          const Json& h = health_backends->as_array()[i];
-          if (h.get("stale") != nullptr) {
-            stale = h.get_bool("stale", false) ? "STALE" : "no";
-          }
+          stale = stale_cell(health_backends->as_array()[i]);
         }
-        table.add_row(
-            {Table::integer(
-                 static_cast<std::uint64_t>(row.get_number("backend", 0))),
-             row.get_string("address", "?") + ":" +
-                 Table::integer(static_cast<std::uint64_t>(
-                     row.get_number("port", 0))),
-             row.get_bool("reachable", false) ? "yes" : "NO", stale,
-             row.get("poll_age_ms") != nullptr
-                 ? format_duration_ms(static_cast<std::uint64_t>(
-                       row.get_number("poll_age_ms", 0)))
-                 : "-",
-             Table::integer(static_cast<std::uint64_t>(
-                 row.get_number("free_arrays", 0))),
-             Table::integer(
-                 static_cast<std::uint64_t>(row.get_number("running", 0))),
-             Table::integer(
-                 static_cast<std::uint64_t>(row.get_number("queued", 0))),
-             Table::integer(
-                 static_cast<std::uint64_t>(row.get_number("done", 0))),
-             Table::integer(static_cast<std::uint64_t>(
-                 row.get_number("failed", 0)))});
+        table.add_row({int_cell(row, "backend"), endpoint_cell(row),
+                       row.get_bool("reachable", false) ? "yes" : "NO", stale,
+                       duration_cell(row, "poll_age_ms"),
+                       int_cell(row, "free_arrays"), int_cell(row, "running"),
+                       int_cell(row, "queued"), int_cell(row, "done"),
+                       int_cell(row, "failed")});
       }
     }
     out += table.to_string();
@@ -1636,41 +1411,14 @@ std::string render_top_frame(const Json& stats, const Json& list,
           line, sizeof(line),
           "forwarder: %llu submitted, %llu rejected | %llu failovers "
           "(%llu resumed) | %llu routes, %llu backends up%s\n",
-          static_cast<unsigned long long>(fwd->get_number("submitted", 0)),
-          static_cast<unsigned long long>(fwd->get_number("rejected", 0)),
-          static_cast<unsigned long long>(fwd->get_number("failovers", 0)),
-          static_cast<unsigned long long>(
-              fwd->get_number("failover_resumed", 0)),
-          static_cast<unsigned long long>(fwd->get_number("routes", 0)),
-          static_cast<unsigned long long>(
-              fwd->get_number("backends_up", 0)),
+          num(*fwd, "submitted"), num(*fwd, "rejected"),
+          num(*fwd, "failovers"), num(*fwd, "failover_resumed"),
+          num(*fwd, "routes"), num(*fwd, "backends_up"),
           fwd->get_bool("draining", false) ? " (draining)" : "");
       out += line;
     }
   } else {
-    const Json* pool = stats.get("pool");
-    const Json* service = stats.get("service");
-    if (pool != nullptr && service != nullptr) {
-      std::snprintf(
-          line, sizeof(line),
-          "pool: %llu arrays (%llu free) | running %llu, queued %llu | "
-          "inflight %llu/%llu%s | submitted %llu, rejected %llu\n",
-          static_cast<unsigned long long>(pool->get_number("arrays", 0)),
-          static_cast<unsigned long long>(
-              pool->get_number("free_arrays", 0)),
-          static_cast<unsigned long long>(pool->get_number("running", 0)),
-          static_cast<unsigned long long>(pool->get_number("queued", 0)),
-          static_cast<unsigned long long>(
-              service->get_number("inflight", 0)),
-          static_cast<unsigned long long>(
-              service->get_number("max_inflight", 0)),
-          service->get_bool("draining", false) ? " (draining)" : "",
-          static_cast<unsigned long long>(
-              service->get_number("submitted", 0)),
-          static_cast<unsigned long long>(
-              service->get_number("rejected", 0)));
-      out += line;
-    }
+    out += pool_line(stats);
     const Json* telemetry = stats.get("telemetry");
     out += "latency: submit->ack " +
            hist_brief(telemetry, "submit_ack_latency") + " | mission wall " +
@@ -1678,16 +1426,9 @@ std::string render_top_frame(const Json& stats, const Json& list,
     const Json* cache = stats.get("cache");
     const Json* memo = stats.get("memo");
     if (cache != nullptr && memo != nullptr) {
-      const double cache_total =
-          cache->get_number("hits", 0) + cache->get_number("misses", 0);
-      const double memo_total =
-          memo->get_number("hits", 0) + memo->get_number("misses", 0);
       std::snprintf(line, sizeof(line),
                     "cache: %.1f%% hit | memo: %.1f%% hit | tracer %s\n",
-                    100.0 * cache->get_number("hits", 0) /
-                        std::max(1.0, cache_total),
-                    100.0 * memo->get_number("hits", 0) /
-                        std::max(1.0, memo_total),
+                    hit_percent(*cache), hit_percent(*memo),
                     telemetry != nullptr &&
                             telemetry->get_bool("trace_armed", false)
                         ? "armed"
@@ -1698,54 +1439,27 @@ std::string render_top_frame(const Json& stats, const Json& list,
   out += "\n";
   const Json* jobs = list.get("jobs");
   if (jobs != nullptr && jobs->is_array()) {
-    const auto& rows = jobs->as_array();
     // Newest page of jobs; older history scrolls off like top(1).
     constexpr std::size_t kTopJobs = 15;
-    const std::size_t first =
-        rows.size() > kTopJobs ? rows.size() - kTopJobs : 0;
-    std::vector<std::string> columns = {"job",   "name",  "kind",
-                                        "status", "waves", "age"};
-    if (cluster_view) columns.push_back("backend");
-    Table table(columns);
-    for (std::size_t i = first; i < rows.size(); ++i) {
-      const Json& entry = rows[i];
-      std::vector<std::string> row = {
-          Table::integer(
-              static_cast<std::uint64_t>(entry.get_number("job", 0))),
-          entry.get_string("name", "?"), entry.get_string("kind", "?"),
-          entry.get_string("status", "?"),
-          Table::integer(
-              static_cast<std::uint64_t>(entry.get_number("waves", 0))),
-          entry.get("age_ms") != nullptr
-              ? format_duration_ms(static_cast<std::uint64_t>(
-                    entry.get_number("age_ms", 0)))
-              : "-"};
-      if (cluster_view) {
-        row.push_back(entry.get("backend") != nullptr
-                          ? Table::integer(static_cast<std::uint64_t>(
-                                entry.get_number("backend", 0)))
-                          : "-");
-      }
-      table.add_row(row);
-    }
+    const std::size_t total = jobs->as_array().size();
+    const std::size_t first = total > kTopJobs ? total - kTopJobs : 0;
     if (first > 0) {
       out += Table::integer(first) + " older jobs not shown\n";
     }
-    out += table.to_string();
+    out += jobs_table(list, first, /*lanes=*/false, cluster_view).to_string();
   }
   return out;
 }
 
 int cmd_top(const Cli& cli) {
-  const bool cluster = bare_flag(cli, "cluster", kTopUsage);
+  const bool cluster = bare_flag(cli, "cluster");
   const std::int64_t interval = cli.get_int("interval", 1000);
-  if (interval < 50) fail("--interval must be >= 50 ms", kTopUsage);
+  if (interval < 50) usage_error("--interval must be >= 50 ms");
   const std::int64_t count = cli.get_int("count", 0);
-  if (count < 0) fail("--count must be >= 0 (0 = run until q)", kTopUsage);
-  const std::uint16_t port = require_port(cli, kTopUsage);
-  const std::string address = cli.get("address", "127.0.0.1");
-  const std::string endpoint = address + ":" + std::to_string(port);
-  svc::Client client = make_client(cli, kTopUsage);
+  if (count < 0) usage_error("--count must be >= 0 (0 = run until q)");
+  const std::string endpoint = cli.get("address", "127.0.0.1") + ":" +
+                               std::to_string(require_port(cli));
+  svc::Client client = make_client(cli);
   RawStdin keys;
   for (std::int64_t frame = 0; count == 0 || frame < count; ++frame) {
     if (frame != 0 &&
@@ -1757,11 +1471,7 @@ int cmd_top(const Cli& cli) {
     Json health = Json::object();
     const bool want_health =
         cluster || stats.get_string("role", "") == "forwarder";
-    if (want_health) {
-      Json request = Json::object();
-      request.set("op", "health");
-      health = client.request(request);
-    }
+    if (want_health) health = health_of(client);
     const std::string body =
         render_top_frame(stats, list, want_health ? &health : nullptr,
                          endpoint, static_cast<double>(interval) / 1000.0,
@@ -1795,45 +1505,107 @@ int cmd_demo(const Cli& cli) {
   return 0;
 }
 
+constexpr Command kCommands[] = {
+    {"info", "mpa info [--stages N]", cmd_info},
+    {"evolve",
+     "mpa evolve --train in.pgm --ref ref.pgm --lib filters.txt --name NAME "
+     "[--arrays N] [--generations N] [--rate K] [--two-level] [--seed N]",
+     cmd_evolve},
+    {"filter",
+     "mpa filter --lib filters.txt --name NAME --in x.pgm --out y.pgm",
+     cmd_filter},
+    {"schematic", "mpa schematic --lib filters.txt --name NAME",
+     cmd_schematic},
+    {"campaign",
+     "mpa campaign --lib filters.txt --name NAME --train in.pgm --ref "
+     "ref.pgm [--recover] [--generations N]",
+     cmd_campaign},
+    {"batch",
+     "mpa batch --manifest jobs.txt [--arrays N] [--cache N] [--max-jobs N] "
+     "[--sequential]",
+     cmd_batch},
+    {"serve",
+     "mpa serve [--port N] [--address A] [--pools N] [--arrays-per-pool N] "
+     "[--arrays N] [--cache N] [--max-jobs N] [--max-inflight N] "
+     "[--journal DIR] [--checkpoint-every N] [--no-warm] [--fault-plan "
+     "SPEC] [--metrics-port N] [--idle-timeout-ms N] [--max-line BYTES]",
+     cmd_serve},
+    {"forward",
+     "mpa forward [--port N] [--address A] [--poll-ms N] [--down-after N] "
+     "[--timeout-ms N] [--metrics-port N] [--idle-timeout-ms N] "
+     "[--max-line BYTES] host:port[:journal] ...",
+     cmd_forward},
+    {"submit",
+     "mpa submit --port N [--address A] <kind> <name> [key=value ...] "
+     "[--detach] [--quiet] [--retries N] [--timeout-ms N] | "
+     "mpa submit --port N --manifest jobs.txt [--detach]",
+     cmd_submit},
+    {"result",
+     "mpa result --port N [--address A] --job ID|NAME "
+     "[--retries N] [--timeout-ms N]",
+     cmd_result},
+    {"ps", "mpa ps --port N [--address A] [--cluster]", cmd_ps},
+    {"stats", "mpa stats --port N [--address A]", cmd_stats},
+    {"cancel", "mpa cancel --port N [--address A] --job ID|NAME",
+     cmd_cancel},
+    {"drain", "mpa drain --port N [--address A] [--wait]", cmd_drain},
+    {"checkpoint",
+     "mpa checkpoint <kind> <name> [key=value ...] --out ck.json "
+     "[--every N] [--preempt G]",
+     cmd_checkpoint},
+    {"restore", "mpa restore --from ck.json [--lanes N]", cmd_restore},
+    {"health", "mpa health --port N [--address A] [--cluster]", cmd_health},
+    {"backend",
+     "mpa backend <list|add|remove> --port N [--address A] "
+     "[host:port[:journal]] [--backend INDEX]",
+     cmd_backend},
+    {"top",
+     "mpa top --port N [--address A] [--cluster] [--interval MS] "
+     "[--count N]",
+     cmd_top},
+    {"trace",
+     "mpa trace [OUT.json] --port N [--address A] [--arm|--disarm] "
+     "[--clear]",
+     cmd_trace},
+    {"demo", "mpa demo [--size N] [--noise D] [--seed N]", cmd_demo},
+    {"version", "mpa version", cmd_version},
+};
+
+void print_usage(std::FILE* out) {
+  std::string names;
+  for (const Command& command : kCommands) {
+    names += std::string(names.empty() ? "" : "|") + command.name;
+  }
+  std::fprintf(out, "usage: mpa <%s> [options]\n", names.c_str());
+  for (const Command& command : kCommands) {
+    std::fprintf(out, "  %s\n", command.usage);
+  }
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
-  if (argc < 2) return usage();
-  const std::string cmd = argv[1];
+  if (argc < 2) {
+    print_usage(stderr);
+    return 2;
+  }
+  std::string cmd = argv[1];
   if (cmd == "--help" || cmd == "-h" || cmd == "help") {
     print_usage(stdout);
     return 0;
   }
-  if (cmd == "version" || cmd == "--version" || cmd == "-V") {
-    return cmd_version();
-  }
-  const Cli cli(argc - 1, argv + 1);
-  try {
-    if (cmd == "info") return cmd_info(cli);
-    if (cmd == "evolve") return cmd_evolve(cli);
-    if (cmd == "filter") return cmd_filter(cli);
-    if (cmd == "schematic") return cmd_schematic(cli);
-    if (cmd == "campaign") return cmd_campaign(cli);
-    if (cmd == "batch") return cmd_batch(cli);
-    if (cmd == "serve") return cmd_serve(cli);
-    if (cmd == "forward") return cmd_forward(cli);
-    if (cmd == "submit") return cmd_submit(cli);
-    if (cmd == "result") return cmd_result(cli);
-    if (cmd == "ps") return cmd_ps(cli);
-    if (cmd == "stats") return cmd_stats(cli);
-    if (cmd == "cancel") return cmd_cancel(cli);
-    if (cmd == "drain") return cmd_drain(cli);
-    if (cmd == "checkpoint") return cmd_checkpoint(cli);
-    if (cmd == "restore") return cmd_restore(cli);
-    if (cmd == "health") return cmd_health(cli);
-    if (cmd == "backend") return cmd_backend(cli);
-    if (cmd == "top") return cmd_top(cli);
-    if (cmd == "trace") return cmd_trace(cli);
-    if (cmd == "demo") return cmd_demo(cli);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "mpa %s: %s\n", cmd.c_str(), e.what());
-    return 1;
+  if (cmd == "--version" || cmd == "-V") cmd = "version";
+  for (const Command& command : kCommands) {
+    if (cmd != command.name) continue;
+    g_command = &command;
+    try {
+      return command.run(Cli(argc - 1, argv + 1));
+    } catch (const std::exception& e) {
+      std::fprintf(stderr, "mpa %s: %s\n", cmd.c_str(), e.what());
+      return 1;
+    }
   }
   std::fprintf(stderr, "mpa: unknown subcommand '%s'\n", cmd.c_str());
-  return usage();
+  print_usage(stderr);
+  return 2;
 }
