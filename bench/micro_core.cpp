@@ -301,6 +301,29 @@ void BM_DecodeArray(benchmark::State& state) {
 }
 BENCHMARK(BM_DecodeArray);
 
+void BM_MissionImages(benchmark::State& state) {
+  // One edge mission's frames (scene + Sobel reference) at a service-small
+  // and a service-large size, serially (/0) and on a 4-thread host pool
+  // (/4). Wall time: the pool's workers do most of the work.
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const auto threads = static_cast<std::size_t>(state.range(1));
+  ThreadPool pool(threads == 0 ? 1 : threads);
+  sched::MissionSpec spec;
+  spec.kind = sched::MissionKind::kEdge;
+  spec.size = size;
+  for (auto _ : state) {
+    const sched::MissionImages images =
+        sched::make_mission_images(spec, threads == 0 ? nullptr : &pool);
+    benchmark::DoNotOptimize(images.reference.row(0));
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size * size));
+}
+BENCHMARK(BM_MissionImages)
+    ->Args({64, 0})->Args({64, 4})->Args({448, 0})->Args({448, 4})
+    ->UseRealTime()->Unit(benchmark::kMicrosecond);
+
 void BM_SchedulerThroughput(benchmark::State& state) {
   // Multi-mission scheduler: 8 identical single-lane denoise missions on
   // an 8-array pool with 1/4/8 jobs admitted concurrently. Wall time

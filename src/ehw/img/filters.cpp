@@ -3,6 +3,9 @@
 #include <algorithm>
 #include <array>
 #include <cstdlib>
+#include <vector>
+
+#include "ehw/img/row_bands.hpp"
 
 namespace ehw::img {
 
@@ -31,20 +34,33 @@ Image gaussian3x3(const Image& src) {
   return convolve3x3(src, kKernel, 16);
 }
 
-Image sobel_magnitude(const Image& src) {
+Image sobel_magnitude(const Image& src, ThreadPool* pool) {
   Image out(src.width(), src.height());
-  Pixel win[9];
-  for (std::size_t y = 0; y < src.height(); ++y) {
-    for (std::size_t x = 0; x < src.width(); ++x) {
-      gather_window3x3(src, x, y, win);
-      const int gx = -win[0] + win[2] - 2 * win[3] + 2 * win[5] - win[6] +
-                     win[8];
-      const int gy = -win[0] - 2 * win[1] - win[2] + win[6] + 2 * win[7] +
-                     win[8];
-      const int mag = std::abs(gx) + std::abs(gy);
-      out.set(x, y, static_cast<Pixel>(std::min(mag, 255)));
-    }
-  }
+  const std::size_t width = src.width();
+  const auto rows = [&](std::size_t y0, std::size_t y1) {
+    // The Sobel pair is separable: with smooth = up + 2*mid + down and
+    // diff = down - up per column, Gx = smooth[r] - smooth[l] and
+    // Gy = diff[l] + 2*diff[x] + diff[r]. Exact integer arithmetic, the
+    // same sums as the 3x3 window form.
+    std::vector<int> smooth(width);
+    std::vector<int> diff(width);
+    for_window_rows(src, y0, y1, [&](const Pixel* up, const Pixel* mid,
+                                     const Pixel* down, std::size_t y) {
+      for (std::size_t x = 0; x < width; ++x) {
+        smooth[x] = up[x] + 2 * mid[x] + down[x];
+        diff[x] = down[x] - up[x];
+      }
+      Pixel* dst = out.row(y);
+      for_clamped_columns(width, [&](std::size_t l, std::size_t x,
+                                     std::size_t r) {
+        const int gx = smooth[r] - smooth[l];
+        const int gy = diff[l] + 2 * diff[x] + diff[r];
+        const int mag = std::abs(gx) + std::abs(gy);
+        dst[x] = static_cast<Pixel>(std::min(mag, 255));
+      });
+    });
+  };
+  for_row_bands(pool, width, src.height(), rows);
   return out;
 }
 

@@ -7,6 +7,10 @@
 
 #include "ehw/img/image.hpp"
 
+namespace ehw {
+class ThreadPool;
+}
+
 namespace ehw::img {
 
 /// 3x3 median filter (border replicated).
@@ -18,8 +22,10 @@ namespace ehw::img {
 /// 3x3 Gaussian (1 2 1 / 2 4 2 / 1 2 1) / 16, rounded.
 [[nodiscard]] Image gaussian3x3(const Image& src);
 
-/// Sobel gradient magnitude, |Gx| + |Gy| clamped to 255.
-[[nodiscard]] Image sobel_magnitude(const Image& src);
+/// Sobel gradient magnitude, |Gx| + |Gy| clamped to 255. With a `pool`,
+/// large frames are split into row bands on it (bytes unchanged).
+[[nodiscard]] Image sobel_magnitude(const Image& src,
+                                    ThreadPool* pool = nullptr);
 
 /// Generic signed 3x3 convolution with divisor and offset:
 ///   out = clamp(offset + (sum_k kernel[k] * window[k]) / divisor).

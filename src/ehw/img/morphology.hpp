@@ -7,13 +7,18 @@
 
 #include "ehw/img/image.hpp"
 
+namespace ehw {
+class ThreadPool;
+}
+
 namespace ehw::img {
 
-/// Minimum over the border-replicated 3x3 window.
-[[nodiscard]] Image erode3x3(const Image& src);
+/// Minimum over the border-replicated 3x3 window. With a `pool`, large
+/// frames are split into row bands on it (bytes unchanged).
+[[nodiscard]] Image erode3x3(const Image& src, ThreadPool* pool = nullptr);
 
-/// Maximum over the border-replicated 3x3 window.
-[[nodiscard]] Image dilate3x3(const Image& src);
+/// Maximum over the border-replicated 3x3 window (pool as for erode3x3).
+[[nodiscard]] Image dilate3x3(const Image& src, ThreadPool* pool = nullptr);
 
 /// Opening: erosion then dilation (removes bright impulses).
 [[nodiscard]] Image open3x3(const Image& src);

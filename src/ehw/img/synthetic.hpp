@@ -9,12 +9,18 @@
 
 #include "ehw/img/image.hpp"
 
+namespace ehw {
+class ThreadPool;
+}
+
 namespace ehw::img {
 
 /// A natural-image stand-in: overlapping soft blobs + polygons + gradient
-/// background + low-amplitude deterministic texture.
+/// background + low-amplitude deterministic texture. With a `pool`, large
+/// frames are filled in row bands on it (see row_bands.hpp); the bytes do
+/// not depend on the pool or its size.
 [[nodiscard]] Image make_scene(std::size_t width, std::size_t height,
-                               std::uint64_t seed);
+                               std::uint64_t seed, ThreadPool* pool = nullptr);
 
 /// Linear horizontal gradient from `from` to `to`.
 [[nodiscard]] Image make_gradient(std::size_t width, std::size_t height,

@@ -6,6 +6,7 @@
 #include <map>
 #include <sstream>
 #include <stdexcept>
+#include <utility>
 
 #include "ehw/img/filters.hpp"
 #include "ehw/img/morphology.hpp"
@@ -185,25 +186,25 @@ std::vector<MissionSpec> parse_manifest(std::istream& in) {
   return specs;
 }
 
-MissionImages make_mission_images(const MissionSpec& spec) {
-  const img::Image scene =
-      img::make_scene(spec.size, spec.size, spec.scene_seed);
+MissionImages make_mission_images(const MissionSpec& spec, ThreadPool* pool) {
+  img::Image scene =
+      img::make_scene(spec.size, spec.size, spec.scene_seed, pool);
   MissionImages images;
   switch (spec.kind) {
     case MissionKind::kDenoise:
     case MissionKind::kCascade: {
       Rng rng(hash_mix(spec.seed, 0xA11CE, spec.scene_seed));
       images.train = img::add_salt_pepper(scene, spec.noise, rng);
-      images.reference = scene;
+      images.reference = std::move(scene);
       break;
     }
     case MissionKind::kEdge:
-      images.train = scene;
-      images.reference = img::sobel_magnitude(scene);
+      images.reference = img::sobel_magnitude(scene, pool);
+      images.train = std::move(scene);
       break;
     case MissionKind::kMorphology:
-      images.train = scene;
-      images.reference = img::dilate3x3(scene);
+      images.reference = img::dilate3x3(scene, pool);
+      images.train = std::move(scene);
       break;
   }
   return images;
@@ -221,7 +222,7 @@ MissionImagesCache::Key MissionImagesCache::key_of(const MissionSpec& spec) {
 }
 
 std::shared_ptr<const MissionImages> MissionImagesCache::get_or_make(
-    const MissionSpec& spec) {
+    const MissionSpec& spec, ThreadPool* pool) {
   const Key key = key_of(spec);
   if (capacity_ != 0) {
     std::lock_guard lock(mutex_);
@@ -236,7 +237,7 @@ std::shared_ptr<const MissionImages> MissionImagesCache::get_or_make(
   // Synthesis happens OUTSIDE the lock: a miss must not stall every other
   // mission's warm lookup behind a multi-millisecond scene build.
   auto images = std::make_shared<const MissionImages>(
-      make_mission_images(spec));
+      make_mission_images(spec, pool));
   if (capacity_ != 0) {
     std::lock_guard lock(mutex_);
     if (entries_.find(key) == entries_.end()) {
@@ -311,10 +312,11 @@ void run_spec(platform::WaveExecutor& executor, const MissionSpec& spec,
               MissionImagesCache* images_cache) {
   // The shared_ptr keeps the frames alive for the whole mission; cached
   // frames are bit-identical to fresh ones (pure function of the spec).
+  ThreadPool* const pool = executor.platform().pool();
   const std::shared_ptr<const MissionImages> frames =
-      images_cache != nullptr ? images_cache->get_or_make(spec)
+      images_cache != nullptr ? images_cache->get_or_make(spec, pool)
                               : std::make_shared<const MissionImages>(
-                                    make_mission_images(spec));
+                                    make_mission_images(spec, pool));
   const MissionImages& images = *frames;
   platform::CheckpointPolicy policy;
   policy.every = ck.every;

@@ -89,12 +89,16 @@ struct MissionSpec {
 /// silently skipped.
 [[nodiscard]] std::vector<MissionSpec> parse_manifest(std::istream& in);
 
-/// The spec's train/reference image pair (deterministic).
+/// The spec's train/reference image pair (deterministic). With a `pool`,
+/// the scene and the Sobel/dilate references of large frames are built in
+/// row bands on it; the salt&pepper pass stays serial (its one RNG stream
+/// is part of the frame). The bytes never depend on the pool.
 struct MissionImages {
   img::Image train;
   img::Image reference;
 };
-[[nodiscard]] MissionImages make_mission_images(const MissionSpec& spec);
+[[nodiscard]] MissionImages make_mission_images(const MissionSpec& spec,
+                                                ThreadPool* pool = nullptr);
 
 struct MissionImagesCacheStats {
   std::uint64_t hits = 0;
@@ -114,9 +118,9 @@ class MissionImagesCache {
   explicit MissionImagesCache(std::size_t capacity);
 
   /// The spec's frames, from cache when warm (computing and inserting on
-  /// miss). Never returns nullptr.
+  /// miss, on `pool` when given). Never returns nullptr.
   [[nodiscard]] std::shared_ptr<const MissionImages> get_or_make(
-      const MissionSpec& spec);
+      const MissionSpec& spec, ThreadPool* pool = nullptr);
 
   [[nodiscard]] MissionImagesCacheStats stats() const;
 
@@ -179,7 +183,8 @@ struct MissionCheckpointing {
 
 /// Drives the spec through any wave executor (a pool lease or a direct
 /// one); fills the outcome like the pool job body does (minus the cache
-/// counters, which belong to the pool).
+/// counters, which belong to the pool). The frames are built on the
+/// executor's host pool (executor.platform().pool()), if it has one.
 void run_spec(platform::WaveExecutor& executor, const MissionSpec& spec,
               JobOutcome& outcome);
 /// Durable variant. `images` (optional) serves the mission's frames from

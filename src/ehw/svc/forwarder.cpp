@@ -103,7 +103,12 @@ void Forwarder::drain() {
 
 void Forwarder::stop() {
   if (stopped_) return;
-  stopping_.store(true, std::memory_order_relaxed);
+  {
+    // Under the lock, or wait_drained or a failover wait could test the
+    // flag, miss the notify below and sleep on.
+    std::lock_guard lock(state_mutex_);
+    stopping_.store(true, std::memory_order_relaxed);
+  }
   {
     std::lock_guard lock(poll_mutex_);
   }

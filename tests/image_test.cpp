@@ -3,19 +3,167 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 #include <sstream>
+#include <utility>
+#include <vector>
 
 #include "ehw/common/rng.hpp"
+#include "ehw/common/thread_pool.hpp"
 #include "ehw/img/filters.hpp"
 #include "ehw/img/image.hpp"
 #include "ehw/img/metrics.hpp"
+#include "ehw/img/morphology.hpp"
 #include "ehw/img/noise.hpp"
 #include "ehw/img/pgm_io.hpp"
 #include "ehw/img/synthetic.hpp"
+#include "ehw/sched/missions.hpp"
 
 namespace ehw::img {
 namespace {
+
+// Reference implementations: the serial per-pixel generator and window
+// filters as they were before the row kernels, kept verbatim as oracles.
+// The row-band versions must reproduce them byte for byte at every shape,
+// serially and on any pool.
+namespace oracle {
+
+Pixel to_pixel(double v) noexcept {
+  return static_cast<Pixel>(std::clamp(v, 0.0, 255.0));
+}
+
+struct Blob {
+  double cx, cy, radius, amplitude;
+};
+
+struct Box {
+  double x0, y0, x1, y1, value;
+};
+
+Image make_scene(std::size_t width, std::size_t height, std::uint64_t seed) {
+  Rng rng(seed);
+  const auto w = static_cast<double>(width);
+  const auto h = static_cast<double>(height);
+
+  // 4-7 soft blobs, 3-5 hard boxes, one diagonal line.
+  std::vector<Blob> blobs;
+  const auto n_blobs = 4 + rng.below(4);
+  for (std::uint64_t i = 0; i < n_blobs; ++i) {
+    blobs.push_back(Blob{rng.uniform() * w, rng.uniform() * h,
+                         (0.08 + 0.22 * rng.uniform()) * std::min(w, h),
+                         40.0 + 70.0 * rng.uniform()});
+  }
+  std::vector<Box> boxes;
+  const auto n_boxes = 3 + rng.below(3);
+  for (std::uint64_t i = 0; i < n_boxes; ++i) {
+    const double x0 = rng.uniform() * 0.8 * w;
+    const double y0 = rng.uniform() * 0.8 * h;
+    boxes.push_back(Box{x0, y0, x0 + (0.08 + 0.25 * rng.uniform()) * w,
+                        y0 + (0.08 + 0.25 * rng.uniform()) * h,
+                        rng.uniform() * 255.0});
+  }
+  const double grad_angle = rng.uniform() * 6.28318530717958647692;
+  const double gx = std::cos(grad_angle), gy = std::sin(grad_angle);
+  const double line_off = rng.uniform() * w;
+  const std::uint64_t texture_salt = rng();
+
+  Image image(width, height);
+  for (std::size_t y = 0; y < height; ++y) {
+    for (std::size_t x = 0; x < width; ++x) {
+      const auto fx = static_cast<double>(x);
+      const auto fy = static_cast<double>(y);
+      // Background gradient 60..160.
+      double v = 110.0 + 50.0 * ((fx * gx + fy * gy) / (w + h) * 2.0 - 0.5);
+      // Boxes overwrite (hard edges).
+      for (const auto& b : boxes) {
+        if (fx >= b.x0 && fx <= b.x1 && fy >= b.y0 && fy <= b.y1) {
+          v = 0.35 * v + 0.65 * b.value;
+        }
+      }
+      // Soft blobs add (smooth regions).
+      for (const auto& b : blobs) {
+        const double dx = fx - b.cx, dy = fy - b.cy;
+        const double d2 = (dx * dx + dy * dy) / (b.radius * b.radius);
+        if (d2 < 9.0) v += b.amplitude * std::exp(-d2);
+      }
+      // One thin bright diagonal line (stress for window muxes).
+      if (std::abs(std::fmod(fx + fy + line_off, w) - w / 2.0) < 1.0) {
+        v = 235.0;
+      }
+      // Deterministic +-6 texture derived from coordinates, not call order.
+      const std::uint64_t hsh = hash_mix(texture_salt, x, y);
+      v += static_cast<double>(hsh % 13) - 6.0;
+      image.set(x, y, to_pixel(v));
+    }
+  }
+  return image;
+}
+
+Image sobel_magnitude(const Image& src) {
+  Image out(src.width(), src.height());
+  Pixel win[9];
+  for (std::size_t y = 0; y < src.height(); ++y) {
+    for (std::size_t x = 0; x < src.width(); ++x) {
+      gather_window3x3(src, x, y, win);
+      const int gx = -win[0] + win[2] - 2 * win[3] + 2 * win[5] - win[6] +
+                     win[8];
+      const int gy = -win[0] - 2 * win[1] - win[2] + win[6] + 2 * win[7] +
+                     win[8];
+      const int mag = std::abs(gx) + std::abs(gy);
+      out.set(x, y, static_cast<Pixel>(std::min(mag, 255)));
+    }
+  }
+  return out;
+}
+
+template <typename Select>
+Image window_reduce(const Image& src, Select select) {
+  Image out(src.width(), src.height());
+  Pixel win[9];
+  for (std::size_t y = 0; y < src.height(); ++y) {
+    for (std::size_t x = 0; x < src.width(); ++x) {
+      gather_window3x3(src, x, y, win);
+      Pixel v = win[0];
+      for (int k = 1; k < 9; ++k) v = select(v, win[k]);
+      out.set(x, y, v);
+    }
+  }
+  return out;
+}
+
+}  // namespace oracle
+
+/// Widths around the SIMD/cache-line boundaries and the service's frame
+/// sizes; heights of one row, fewer rows than pool threads, and square.
+/// The wide, short shapes are large enough to be split into row bands
+/// with fewer rows than the 4-thread pool has workers.
+std::vector<std::pair<std::size_t, std::size_t>> oracle_shapes() {
+  std::vector<std::pair<std::size_t, std::size_t>> shapes;
+  for (const std::size_t w :
+       {1, 2, 3, 7, 33, 64, 97, 127, 128, 129, 384, 448, 512}) {
+    for (const std::size_t h : {std::size_t{1}, std::size_t{3}, w}) {
+      shapes.emplace_back(w, h);
+    }
+  }
+  shapes.emplace_back(40000, 2);
+  shapes.emplace_back(33000, 3);
+  shapes.emplace_back(448, 97);
+  return shapes;
+}
+
+/// Random bytes (full 0..255 range, so the Sobel clamp and every min/max
+/// tie are exercised) of the given shape.
+Image random_image(std::size_t width, std::size_t height, std::uint64_t seed) {
+  Rng rng(seed);
+  Image image(width, height);
+  for (std::size_t y = 0; y < height; ++y) {
+    Pixel* row = image.row(y);
+    for (std::size_t x = 0; x < width; ++x) row[x] = rng.byte();
+  }
+  return image;
+}
 
 TEST(Image, BasicAccessors) {
   Image im(4, 3, 7);
@@ -125,6 +273,62 @@ TEST(Synthetic, CalibrationPatternDeterministic) {
   EXPECT_EQ(make_calibration_pattern(32, 32), make_calibration_pattern(32, 32));
 }
 
+// The frames of every mission kind at a service-small and a service-large
+// size, pinned by content hash (the fitness memo's frame-set identity):
+// values recorded from the serial per-pixel generator and window filters.
+TEST(Synthetic, MissionImagesHashesPinned) {
+  struct Pinned {
+    sched::MissionKind kind;
+    std::size_t size;
+    std::uint64_t train;
+    std::uint64_t reference;
+  };
+  const Pinned pinned[] = {
+      {sched::MissionKind::kDenoise, 64, 0x5585e21e58ce9450ULL,
+       0xa292be4b9b356c98ULL},
+      {sched::MissionKind::kCascade, 64, 0x5585e21e58ce9450ULL,
+       0xa292be4b9b356c98ULL},
+      {sched::MissionKind::kEdge, 64, 0xa292be4b9b356c98ULL,
+       0x5dd31c6f55e51c5eULL},
+      {sched::MissionKind::kMorphology, 64, 0xa292be4b9b356c98ULL,
+       0x7b483bcbdce9f621ULL},
+      {sched::MissionKind::kDenoise, 448, 0x6fa0306ef494ea78ULL,
+       0x0eea74a808922a14ULL},
+      {sched::MissionKind::kCascade, 448, 0x6fa0306ef494ea78ULL,
+       0x0eea74a808922a14ULL},
+      {sched::MissionKind::kEdge, 448, 0x0eea74a808922a14ULL,
+       0xad511cc8c9d8dc98ULL},
+      {sched::MissionKind::kMorphology, 448, 0x0eea74a808922a14ULL,
+       0x9ffdd8949f1a8d07ULL},
+  };
+  for (const Pinned& p : pinned) {
+    sched::MissionSpec spec;
+    spec.kind = p.kind;
+    spec.size = p.size;
+    SCOPED_TRACE(std::string(sched::kind_name(p.kind)) + " " +
+                 std::to_string(p.size));
+    ThreadPool one(1), four(4);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      const sched::MissionImages images =
+          sched::make_mission_images(spec, pool);
+      EXPECT_EQ(images.train.content_hash(), p.train);
+      EXPECT_EQ(images.reference.content_hash(), p.reference);
+    }
+  }
+}
+
+TEST(Synthetic, SceneMatchesSerialOracleOnAnyPool) {
+  ThreadPool one(1), four(4);
+  for (const auto& [w, h] : oracle_shapes()) {
+    SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+    const std::uint64_t seed = w * 1009 + h;
+    const Image expected = oracle::make_scene(w, h, seed);
+    EXPECT_EQ(make_scene(w, h, seed), expected);
+    EXPECT_EQ(make_scene(w, h, seed, &one), expected);
+    EXPECT_EQ(make_scene(w, h, seed, &four), expected);
+  }
+}
+
 TEST(Noise, SaltPepperDensity) {
   const Image clean = make_constant(100, 100, 128);
   Rng rng(1);
@@ -202,6 +406,36 @@ TEST(Filters, SobelRespondsToEdge) {
   const Image e = sobel_magnitude(im);
   EXPECT_EQ(e.at(1, 4), 0);    // far from edge
   EXPECT_GT(e.at(4, 4), 200);  // on the edge
+}
+
+TEST(Filters, SobelMatchesWindowOracleOnAnyPool) {
+  ThreadPool one(1), four(4);
+  for (const auto& [w, h] : oracle_shapes()) {
+    SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+    for (const Image& src : {random_image(w, h, w * 31 + h),
+                             make_scene(w, h, w + h)}) {
+      const Image expected = oracle::sobel_magnitude(src);
+      EXPECT_EQ(sobel_magnitude(src), expected);
+      EXPECT_EQ(sobel_magnitude(src, &one), expected);
+      EXPECT_EQ(sobel_magnitude(src, &four), expected);
+    }
+  }
+}
+
+TEST(Filters, ErodeDilateMatchWindowOracleOnAnyPool) {
+  const auto min = [](Pixel a, Pixel b) { return std::min(a, b); };
+  const auto max = [](Pixel a, Pixel b) { return std::max(a, b); };
+  ThreadPool one(1), four(4);
+  for (const auto& [w, h] : oracle_shapes()) {
+    SCOPED_TRACE(std::to_string(w) + "x" + std::to_string(h));
+    const Image src = random_image(w, h, w * 37 + h);
+    const Image eroded = oracle::window_reduce(src, min);
+    const Image dilated = oracle::window_reduce(src, max);
+    for (ThreadPool* pool : {static_cast<ThreadPool*>(nullptr), &one, &four}) {
+      EXPECT_EQ(erode3x3(src, pool), eroded);
+      EXPECT_EQ(dilate3x3(src, pool), dilated);
+    }
+  }
 }
 
 TEST(Filters, ConvolveIdentityKernel) {
