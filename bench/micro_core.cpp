@@ -13,7 +13,7 @@
 #include <thread>
 #include <vector>
 
-#include "ehw/common/work_steal.hpp"
+#include "ehw/common/thread_pool.hpp"
 #include "ehw/sched/placement.hpp"
 #include "ehw/evo/batch.hpp"
 #include "ehw/evo/fitness.hpp"
@@ -204,12 +204,12 @@ void BM_FitnessMemoWarmReplay(benchmark::State& state) {
 }
 BENCHMARK(BM_FitnessMemoWarmReplay)->Arg(9)->Arg(16);
 
-void BM_WorkStealDispatch(benchmark::State& state) {
-  // Dispatch cost of the shared execution core: N no-op job bodies
-  // through submit + drain. Compare BM_ThreadPerJobDispatch for what the
-  // scheduler paid per job before the work-stealing rewrite.
+void BM_JobDispatch(benchmark::State& state) {
+  // Dispatch cost of the host pool ArrayPool runs job bodies on: N no-op
+  // job bodies through submit + drain. Compare BM_ThreadPerJobDispatch
+  // for what the scheduler would pay creating a thread per job.
   const auto jobs = static_cast<std::size_t>(state.range(0));
-  WorkStealPool pool(2);
+  ThreadPool pool(2);
   for (auto _ : state) {
     std::atomic<std::size_t> done{0};
     for (std::size_t j = 0; j < jobs; ++j) {
@@ -221,14 +221,12 @@ void BM_WorkStealDispatch(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(jobs));
-  state.counters["steals"] =
-      static_cast<double>(pool.stats().stolen);
 }
-BENCHMARK(BM_WorkStealDispatch)->Arg(64);
+BENCHMARK(BM_JobDispatch)->Arg(64);
 
 void BM_ThreadPerJobDispatch(benchmark::State& state) {
-  // The pre-PR-5 execution model: one host thread created and joined per
-  // job body.
+  // The thread-per-job execution model: one host thread created and
+  // joined per job body.
   const auto jobs = static_cast<std::size_t>(state.range(0));
   for (auto _ : state) {
     std::atomic<std::size_t> done{0};
@@ -368,11 +366,14 @@ void BM_ServiceThroughput(benchmark::State& state) {
   // single-lane denoise missions over loopback TCP and blocking on the
   // result. items/s == missions/s through the full protocol +
   // scheduler + evolution stack (host wall-clock, unlike the simulated
-  // BM_SchedulerThroughput metric).
+  // BM_SchedulerThroughput metric). The daemon is wired as `mpa serve`
+  // wires it: job bodies and their fan-out share one host pool.
   const auto clients = static_cast<std::size_t>(state.range(0));
   constexpr int kMissionsPerClient = 4;
+  ThreadPool host_pool;
   svc::ServerConfig config;
   config.pool.num_arrays = 8;
+  config.pool.host_pool = &host_pool;
   config.max_inflight = 64;
   svc::Server server(config);
   std::atomic<std::uint64_t> completed{0};

@@ -1,5 +1,7 @@
 #pragma once
-// A small fixed-size thread pool with blocking chunked fan-out.
+// The host thread pool: one fixed set of workers that runs both the
+// scheduler's job bodies (submit) and the data-parallel fan-out inside
+// them (parallel_chunks).
 //
 // The simulator separates *simulated* time (ehw::sim::SimClock, which
 // models the FPGA) from *host* time. Host threads are only an accelerator
@@ -8,19 +10,24 @@
 // evaluation out across cores. Determinism is preserved because each unit
 // of work owns its own RNG stream and writes to disjoint outputs.
 //
-// The hot entry point is parallel_chunks: the range is split into one
-// contiguous chunk per worker, chunks are enqueued as plain
-// {function-pointer, context} records (no std::function or packaged_task
-// allocation per task), the caller runs the first chunk inline, and a
-// std::latch collects completion. submit() remains for the rare generic
-// one-off task.
+// submit() is fire-and-forget: ArrayPool runs each admitted mission body
+// as one task and observes completion through its own bookkeeping, so no
+// host thread is created or destroyed per job (cf. the FPGA-cluster
+// dispatchers of arXiv:1412.5384).
+//
+// parallel_chunks() is reentrant, so a task running on this pool may fan
+// out on it. The range is split into one contiguous chunk per worker; the
+// caller claims chunks from an atomic counter until none are left, then
+// waits only for chunks another thread has already claimed, never for
+// queued work. Helpers are queued only for idle workers, and a waiting
+// caller never runs an unrelated queued task, so a job's thread-local
+// state (its ProfileScope, its trace span) stays its own.
 
+#include <algorithm>
 #include <condition_variable>
 #include <cstddef>
-#include <exception>
 #include <functional>
-#include <future>
-#include <latch>
+#include <memory>
 #include <mutex>
 #include <queue>
 #include <thread>
@@ -31,8 +38,11 @@ namespace ehw {
 
 class ThreadPool {
  public:
-  /// Creates `threads` workers; 0 means std::thread::hardware_concurrency().
+  /// Creates `threads` workers; 0 means
+  /// max(2, std::thread::hardware_concurrency()).
   explicit ThreadPool(std::size_t threads = 0);
+  /// Runs every queued task, including ones queued by running tasks, then
+  /// joins the workers.
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -40,113 +50,58 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const noexcept { return workers_.size(); }
 
-  /// Enqueues a generic task and returns its future.
-  template <typename F>
-  auto submit(F&& fn) -> std::future<std::invoke_result_t<F>> {
-    using R = std::invoke_result_t<F>;
-    auto task = std::make_shared<std::packaged_task<R()>>(std::forward<F>(fn));
-    std::future<R> fut = task->get_future();
-    {
-      std::lock_guard lock(mutex_);
-      queue_.push(Task{nullptr, nullptr, 0, 0, nullptr,
-                       [task] { (*task)(); }});
-    }
-    cv_.notify_one();
-    return fut;
-  }
+  /// Enqueues a task. Completion is observed by the caller's own
+  /// bookkeeping. A throw escaping the task is logged and contained: its
+  /// owner surfaces failures, and a worker must never take the process
+  /// down.
+  void submit(std::function<void()> task);
 
   /// Runs body(lo, hi) over disjoint contiguous chunks covering
   /// [begin, end), one chunk per worker, blocking until all complete.
-  /// The calling thread executes the first chunk itself. `body` must be
-  /// safe to invoke concurrently on disjoint ranges. The first exception
-  /// thrown by any chunk is rethrown here once every chunk has finished.
+  /// The chunk bounds depend only on the range and size(), never on which
+  /// thread runs a chunk. `body` must be safe to invoke concurrently on
+  /// disjoint ranges. The first exception thrown by any chunk is rethrown
+  /// here once every chunk has finished.
   template <typename F>
   void parallel_chunks(std::size_t begin, std::size_t end, F&& body) {
     if (begin >= end) return;
-    const std::size_t n = end - begin;
-    const std::size_t chunks =
-        std::min(n, std::max<std::size_t>(1, size()));
+    const std::size_t chunks = std::min(end - begin, size());
     if (chunks <= 1) {
       body(begin, end);
       return;
     }
     using Body = std::remove_reference_t<F>;
-    Body& ref = body;
-    const std::size_t per = (n + chunks - 1) / chunks;
-    const std::size_t used = (n + per - 1) / per;  // non-empty chunks
-    FanoutState state(static_cast<std::ptrdiff_t>(used - 1));
-    {
-      std::lock_guard lock(mutex_);
-      for (std::size_t c = 1; c < used; ++c) {
-        const std::size_t lo = begin + c * per;
-        const std::size_t hi = std::min(end, lo + per);
-        queue_.push(Task{
-            [](void* ctx, std::size_t l, std::size_t h) {
-              (*static_cast<Body*>(ctx))(l, h);
-            },
-            const_cast<void*>(static_cast<const void*>(&ref)), lo, hi,
-            &state, nullptr});
-      }
-    }
-    cv_.notify_all();
-    try {
-      body(begin, std::min(end, begin + per));
-    } catch (...) {
-      state.record_error();
-    }
-    state.done.wait();
-    if (state.error) std::rethrow_exception(state.error);
+    run_fanout(
+        [](void* ctx, std::size_t lo, std::size_t hi) {
+          (*static_cast<Body*>(ctx))(lo, hi);
+        },
+        const_cast<void*>(static_cast<const void*>(&body)), begin, end,
+        chunks);
   }
 
-  /// Runs fn(i) for i in [begin, end), blocking until all complete.
-  /// Work is split into contiguous chunks (one per worker) so that image
-  /// rows stay cache-friendly. Executes inline when the range is tiny or
-  /// the pool has a single worker.
-  template <typename F>
-  void parallel_for(std::size_t begin, std::size_t end, F&& fn) {
-    parallel_chunks(begin, end, [&fn](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) fn(i);
-    });
-  }
-
-  /// Process-wide pool, sized to the machine. Benches and drivers share it
-  /// so we never oversubscribe the host.
+  /// Process-wide pool, sized to the machine. Benches, drivers and every
+  /// ArrayPool without a host_pool share it, so we never oversubscribe the
+  /// host.
   static ThreadPool& global();
 
  private:
-  /// Caller-stack completion record for one parallel_chunks fan-out:
-  /// counts worker chunks down and carries the first exception any chunk
-  /// threw back to the caller.
-  struct FanoutState {
-    explicit FanoutState(std::ptrdiff_t worker_chunks)
-        : done(worker_chunks) {}
-    void record_error() noexcept {
-      std::lock_guard lock(mutex);
-      if (!error) error = std::current_exception();
-    }
-    std::latch done;
-    std::mutex mutex;
-    std::exception_ptr error;
-  };
+  struct Fanout;  // one parallel_chunks call, shared with its helpers
 
-  /// One queued unit of work: either a chunk of a parallel_chunks fan-out
-  /// (bulk != nullptr; a plain function pointer plus caller-stack context,
-  /// completion signalled through `state`) or a generic submit() closure.
+  /// A queued unit of work: a submit()ted task or a fan-out helper.
   struct Task {
-    void (*bulk)(void*, std::size_t, std::size_t);
-    void* ctx;
-    std::size_t lo;
-    std::size_t hi;
-    FanoutState* state;
-    std::function<void()> generic;
+    std::function<void()> fn;
+    std::shared_ptr<Fanout> fanout;
   };
 
+  void run_fanout(void (*run)(void*, std::size_t, std::size_t), void* body,
+                  std::size_t begin, std::size_t end, std::size_t chunks);
   void worker_loop();
 
   std::vector<std::thread> workers_;
   std::queue<Task> queue_;
   std::mutex mutex_;
   std::condition_variable cv_;
+  std::size_t idle_ = 0;  // workers waiting for a task (guarded by mutex_)
   bool stop_ = false;
 };
 

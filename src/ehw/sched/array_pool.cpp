@@ -193,8 +193,8 @@ platform::WaveOutcome MissionContext::run_wave(
 
 ArrayPool::ArrayPool(PoolConfig config)
     : config_(config),
-      workers_(config.workers != nullptr ? config.workers
-                                         : &WorkStealPool::shared()),
+      workers_(config.host_pool != nullptr ? config.host_pool
+                                           : &ThreadPool::global()),
       cache_(config.cache_capacity),
       memo_(config.fitness_memo_capacity),
       images_cache_(config.mission_images_capacity != 0
@@ -290,9 +290,7 @@ void ArrayPool::admit_locked(std::vector<FailedStart>& failures) {
     }
     try {
       // No thread is created here: the body becomes a task on the
-      // shared work-stealing core. A job admitted from a finishing
-      // job's worker lands on that worker's own deque and runs next,
-      // cache-warm; idle workers steal it otherwise.
+      // host pool, which runs it on the next free worker.
       workers_->submit([this, job] { run_job(job); });
     } catch (const std::exception& e) {
       // Dispatch failure (allocation) must not strand the lease
@@ -328,6 +326,9 @@ void ArrayPool::finish_failed(std::vector<FailedStart>& failures) {
 }
 
 void ArrayPool::run_job(Job* job) {
+  // Before the queue-wait clock read, so an injected stall shows up as
+  // queue wait, as a slow dispatch would.
+  fault::maybe_stall(fault::Site::kTaskDelay);
   JobOutcome outcome;
   JobStatus status = JobStatus::kDone;
   sim::SimTime duration = 0;

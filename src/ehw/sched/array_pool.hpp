@@ -17,15 +17,16 @@
 // results BIT-IDENTICAL to standalone runs regardless of host
 // interleaving: no simulated state is shared between jobs.
 //
-// What IS shared: the host execution core (job bodies run as tasks on a
-// work-stealing WorkStealPool bounded by hardware concurrency — no
-// thread is created or destroyed per job; pixel kernels may additionally
-// fan out over PoolConfig.host_pool), the compiled-array cache — keyed
-// by configuration fingerprint (genotype + defect map), so identical
-// candidates across missions and generations never recompile — and the
-// fitness memo, which skips frame streaming entirely for (candidate,
-// frame-set) pairs any mission already measured. Cache and memo warmth
-// affect host speed only, never simulated results.
+// What IS shared: the host execution core (job bodies run as tasks on
+// PoolConfig.host_pool, or on ThreadPool::global() — no thread is
+// created or destroyed per job; when host_pool is set, a job's wave and
+// frame fan-out runs on the same pool, claiming only idle workers), the
+// compiled-array cache — keyed by configuration fingerprint (genotype +
+// defect map), so identical candidates across missions and generations
+// never recompile — and the fitness memo, which skips frame streaming
+// entirely for (candidate, frame-set) pairs any mission already
+// measured. Cache and memo warmth affect host speed only, never
+// simulated results.
 //
 // Unit of work: the PR-2 wave protocol. Drivers hold a
 // platform::WaveExecutor; the pool's MissionContext implements it by
@@ -54,7 +55,6 @@
 
 #include "ehw/common/json.hpp"
 #include "ehw/common/thread_pool.hpp"
-#include "ehw/common/work_steal.hpp"
 #include "ehw/evo/fitness_memo.hpp"
 #include "ehw/platform/cascade_evolution.hpp"
 #include "ehw/platform/evolution_driver.hpp"
@@ -82,20 +82,14 @@ struct PoolConfig {
   /// skip scene synthesis + degradation (see MissionImagesCache). Frames
   /// are pure functions of the spec, so hits are bit-identical.
   std::size_t mission_images_capacity = 8;
-  /// Host thread pool handed to each mission's platform for intra-wave
-  /// candidate fan-out. nullptr keeps candidate evaluation
-  /// single-threaded inside each mission — mission-level concurrency
-  /// still comes from the pool's per-job threads. Must NOT be a pool any
-  /// job body itself runs on (its workers would deadlock waiting on
-  /// their own fan-out).
+  /// Host thread pool that runs the job bodies and each mission's
+  /// intra-wave candidate and frame fan-out (parallel_chunks is
+  /// reentrant, so a body fans out on the pool it runs on). nullptr runs
+  /// the bodies on ThreadPool::global() and keeps the work inside each
+  /// mission single-threaded. Must outlive the ArrayPool.
   ThreadPool* host_pool = nullptr;
   /// Cap on simultaneously running jobs; 0 = bounded by arrays only.
   std::size_t max_concurrent_jobs = 0;
-  /// Execution core job bodies run on; nullptr = the process-shared
-  /// WorkStealPool::shared(). Both the scheduler CLI and the service
-  /// daemon hand their pools the same instance, so a host never runs
-  /// more job threads than cores no matter how many pools front it.
-  WorkStealPool* workers = nullptr;
 };
 
 struct JobConfig {
@@ -544,7 +538,7 @@ class ArrayPool {
   void publish_stats_locked() const noexcept;
 
   PoolConfig config_;
-  WorkStealPool* workers_;  // resolved: config_.workers or the shared core
+  ThreadPool* workers_;  // resolved: config_.host_pool or the global pool
   CompiledArrayCache cache_;
   evo::FitnessMemo memo_;
   /// unique_ptr: MissionImagesCache lives a layer above (missions.hpp),

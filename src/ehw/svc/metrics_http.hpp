@@ -8,7 +8,7 @@
 // is closed (Connection: close), whatever the request line says — GET /,
 // GET /metrics and a bare netcat probe all work. The producer callback
 // runs on the endpoint's own thread; it typically refreshes scrape-time
-// gauges (pool depths, steal counts, poll ages) before rendering.
+// gauges (pool depths, hit rates, poll ages) before rendering.
 
 #include <atomic>
 #include <cstdint>

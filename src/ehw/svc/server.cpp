@@ -1073,12 +1073,6 @@ void Server::refresh_gauges() {
   metrics_.gauge("mpa_placement_spills")
       .set(static_cast<double>(placement.spills));
 
-  const WorkStealPool::Stats steal = WorkStealPool::shared().stats();
-  metrics_.gauge("mpa_steal_tasks_executed")
-      .set(static_cast<double>(steal.executed));
-  metrics_.gauge("mpa_steal_tasks_stolen")
-      .set(static_cast<double>(steal.stolen));
-
   if (fault::active()) {
     for (std::size_t s = 0; s < fault::kSiteCount; ++s) {
       const auto site = static_cast<fault::Site>(s);

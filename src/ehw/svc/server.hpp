@@ -164,7 +164,7 @@ class Server {
   /// the stats/health ops and the Prometheus endpoint).
   [[nodiscard]] obs::Registry& metrics() noexcept { return metrics_; }
   /// Prometheus text exposition of the registry; refreshes the
-  /// scrape-time gauges (queue depth, steal counts, hit rates, fault
+  /// scrape-time gauges (queue depth, placement spills, hit rates, fault
   /// firings) from the pool group first. Handed to MetricsHttp by
   /// `mpa serve --metrics-port`.
   [[nodiscard]] std::string metrics_text();

@@ -4,8 +4,12 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cmath>
 #include <functional>
+#include <future>
+#include <latch>
+#include <memory>
 #include <set>
 #include <sstream>
 #include <stdexcept>
@@ -18,7 +22,6 @@
 #include "ehw/common/stats.hpp"
 #include "ehw/common/table.hpp"
 #include "ehw/common/thread_pool.hpp"
-#include "ehw/common/work_steal.hpp"
 #include "ehw/common/version.hpp"
 
 namespace ehw {
@@ -274,21 +277,26 @@ TEST(Cli, FallbacksApply) {
 TEST(ThreadPool, ParallelForCoversRange) {
   ThreadPool pool(4);
   std::vector<std::atomic<int>> hits(1000);
-  pool.parallel_for(0, hits.size(),
-                    [&](std::size_t i) { hits[i].fetch_add(1); });
+  pool.parallel_chunks(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
+  });
   for (auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, ParallelForEmptyRange) {
   ThreadPool pool(2);
   bool called = false;
-  pool.parallel_for(5, 5, [&](std::size_t) { called = true; });
+  pool.parallel_chunks(5, 5, [&](std::size_t, std::size_t) { called = true; });
   EXPECT_FALSE(called);
 }
 
 TEST(ThreadPool, SubmitReturnsValue) {
+  // submit() is fire-and-forget: a task hands its value back through
+  // whatever the submitter gave it, here a promise.
   ThreadPool pool(2);
-  auto fut = pool.submit([] { return 41 + 1; });
+  std::promise<int> answer;
+  std::future<int> fut = answer.get_future();
+  pool.submit([&answer] { answer.set_value(41 + 1); });
   EXPECT_EQ(fut.get(), 42);
 }
 
@@ -312,8 +320,8 @@ TEST(ThreadPool, ParallelChunksPropagatesExceptions) {
   EXPECT_THROW(run(), std::runtime_error);
   // The pool must stay usable after a failed fan-out.
   std::atomic<int> sum{0};
-  pool.parallel_for(0, 10, [&](std::size_t i) {
-    sum.fetch_add(static_cast<int>(i));
+  pool.parallel_chunks(0, 10, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t i = lo; i < hi; ++i) sum.fetch_add(static_cast<int>(i));
   });
   EXPECT_EQ(sum.load(), 45);
 }
@@ -321,20 +329,21 @@ TEST(ThreadPool, ParallelChunksPropagatesExceptions) {
 TEST(ThreadPool, ManyTasksComplete) {
   ThreadPool pool(3);
   std::atomic<int> counter{0};
-  std::vector<std::future<void>> futs;
+  std::latch done(200);
   for (int i = 0; i < 200; ++i) {
-    futs.push_back(pool.submit([&] { counter.fetch_add(1); }));
+    pool.submit([&] {
+      counter.fetch_add(1);
+      done.count_down();
+    });
   }
-  for (auto& f : futs) f.get();
+  done.wait();
   EXPECT_EQ(counter.load(), 200);
 }
 
-// --- WorkStealPool ----------------------------------------------------------
-
-TEST(WorkSteal, AllTasksExecuteAndDrainOnDestruction) {
+TEST(ThreadPool, AllTasksExecuteAndDrainOnDestruction) {
   std::atomic<int> counter{0};
   {
-    WorkStealPool pool(3);
+    ThreadPool pool(3);
     for (int i = 0; i < 500; ++i) {
       pool.submit([&] { counter.fetch_add(1, std::memory_order_relaxed); });
     }
@@ -343,54 +352,7 @@ TEST(WorkSteal, AllTasksExecuteAndDrainOnDestruction) {
   EXPECT_EQ(counter.load(), 500);
 }
 
-TEST(WorkSteal, StatsCountSubmissionsAndExecutions) {
-  WorkStealPool pool(2);
-  std::atomic<int> done{0};
-  constexpr int kTasks = 64;
-  for (int i = 0; i < kTasks; ++i) {
-    pool.submit([&] { done.fetch_add(1, std::memory_order_relaxed); });
-  }
-  while (done.load(std::memory_order_relaxed) != kTasks) {
-    std::this_thread::yield();
-  }
-  const WorkStealPool::Stats stats = pool.stats();
-  EXPECT_EQ(stats.submitted, static_cast<std::uint64_t>(kTasks));
-  EXPECT_EQ(stats.executed, static_cast<std::uint64_t>(kTasks));
-}
-
-TEST(WorkSteal, IdleWorkerStealsFromBusyWorkersDeque) {
-  // A worker task fans out subtasks onto its OWN deque and then blocks
-  // until all of them ran. The submitting worker is occupied, so every
-  // subtask must migrate to the other worker via steal-half raids.
-  WorkStealPool pool(2);
-  std::atomic<int> sub_done{0};
-  std::atomic<bool> outer_done{false};
-  constexpr int kSubtasks = 8;
-  pool.submit([&] {
-    for (int i = 0; i < kSubtasks; ++i) {
-      pool.submit(
-          [&] { sub_done.fetch_add(1, std::memory_order_relaxed); });
-    }
-    while (sub_done.load(std::memory_order_relaxed) != kSubtasks) {
-      std::this_thread::yield();
-    }
-    outer_done.store(true, std::memory_order_release);
-  });
-  while (!outer_done.load(std::memory_order_acquire)) {
-    std::this_thread::yield();
-  }
-  const WorkStealPool::Stats stats = pool.stats();
-  // All subtasks migrated; the idle worker may additionally have stolen
-  // the externally submitted outer task itself before running it.
-  EXPECT_GE(stats.stolen, static_cast<std::uint64_t>(kSubtasks));
-  EXPECT_LE(stats.stolen, static_cast<std::uint64_t>(kSubtasks) + 1);
-  EXPECT_GE(stats.steal_batches, 1u);
-  // Steal-half migrates batches, not single tasks: raiding the queued
-  // tasks takes at most one raid per task even in the worst interleaving.
-  EXPECT_LE(stats.steal_batches, static_cast<std::uint64_t>(kSubtasks) + 1);
-}
-
-TEST(WorkSteal, WorkerRecursiveSubmitsKeepDraining) {
+TEST(ThreadPool, WorkerRecursiveSubmitsKeepDraining) {
   // Chained submits from inside tasks (the ArrayPool admission pattern:
   // a finishing job admits the next) must all run without external
   // nudging.
@@ -399,7 +361,7 @@ TEST(WorkSteal, WorkerRecursiveSubmitsKeepDraining) {
   std::atomic<int> depth_done{0};
   std::function<void(int)> chain;
   {
-    WorkStealPool pool(2);
+    ThreadPool pool(2);
     chain = [&](int depth) {
       if (depth > 0) {
         pool.submit([&chain, depth] { chain(depth - 1); });
@@ -412,13 +374,108 @@ TEST(WorkSteal, WorkerRecursiveSubmitsKeepDraining) {
   EXPECT_EQ(depth_done.load(), 21);
 }
 
-TEST(WorkSteal, SharedPoolIsBoundedAndReusable) {
-  WorkStealPool& shared = WorkStealPool::shared();
-  EXPECT_GE(shared.size(), 2u);
+TEST(ThreadPool, ThrowingTaskIsContainedAndPoolStaysUsable) {
+  ThreadPool pool(2);
+  std::latch done(4);
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&done] {
+      done.count_down();
+      throw std::runtime_error("task bug");
+    });
+  }
   std::atomic<int> ran{0};
-  shared.submit([&] { ran.fetch_add(1); });
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&] {
+      ran.fetch_add(1);
+      done.count_down();
+    });
+  }
+  done.wait();
+  EXPECT_EQ(ran.load(), 2);
+  std::atomic<int> covered{0};
+  pool.parallel_chunks(0, 64, [&](std::size_t lo, std::size_t hi) {
+    covered.fetch_add(static_cast<int>(hi - lo));
+  });
+  EXPECT_EQ(covered.load(), 64);
+}
+
+TEST(ThreadPool, EveryWorkerFansOutOnItsOwnPool) {
+  // Every worker runs a task that fans out on the pool it runs on, so no
+  // worker is idle to help: each caller must run all of its chunks
+  // itself. A pool whose callers wait for queued chunks deadlocks here;
+  // the wait is bounded so that fails the test instead of hanging it,
+  // and on failure the pool and the state its stuck tasks use are leaked.
+  constexpr int kWorkers = 2;
+  struct State {
+    std::latch started{kWorkers};
+    std::atomic<int> covered{0};
+    std::atomic<int> finished{0};
+    std::promise<void> all_done;
+  };
+  auto pool = std::make_unique<ThreadPool>(kWorkers);
+  auto state = std::make_shared<State>();
+  std::future<void> all_done = state->all_done.get_future();
+  ThreadPool* const raw = pool.get();
+  for (int w = 0; w < kWorkers; ++w) {
+    raw->submit([raw, state] {
+      state->started.arrive_and_wait();
+      raw->parallel_chunks(0, 100, [&](std::size_t lo, std::size_t hi) {
+        state->covered.fetch_add(static_cast<int>(hi - lo));
+      });
+      if (state->finished.fetch_add(1) + 1 == kWorkers) {
+        state->all_done.set_value();
+      }
+    });
+  }
+  if (all_done.wait_for(std::chrono::seconds(10)) !=
+      std::future_status::ready) {
+    static_cast<void>(pool.release());
+    FAIL() << "same-pool fan-out did not complete";
+  }
+  EXPECT_EQ(state->covered.load(), kWorkers * 100);
+}
+
+TEST(ThreadPool, NestedFanOutCompletes) {
+  // Chunks that fan out again: helpers may run inner chunks of another
+  // caller's fan-out, and every caller still sees its whole range done.
+  ThreadPool pool(3);
+  std::vector<std::atomic<int>> hits(40 * 50);
+  pool.parallel_chunks(0, 40, [&](std::size_t lo, std::size_t hi) {
+    for (std::size_t row = lo; row < hi; ++row) {
+      pool.parallel_chunks(0, 50, [&](std::size_t a, std::size_t b) {
+        for (std::size_t i = a; i < b; ++i) hits[row * 50 + i].fetch_add(1);
+      });
+    }
+  });
+  for (auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ThreadPool, ConcurrentCallersShareThePool) {
+  // Several outside threads fan out at once, many times over: a helper
+  // that starts after its caller returned must find nothing to do.
+  ThreadPool pool(3);
+  std::atomic<long> total{0};
+  std::vector<std::thread> callers;
+  for (int t = 0; t < 3; ++t) {
+    callers.emplace_back([&] {
+      for (int round = 0; round < 200; ++round) {
+        pool.parallel_chunks(0, 16, [&](std::size_t lo, std::size_t hi) {
+          total.fetch_add(static_cast<long>(hi - lo));
+        });
+      }
+    });
+  }
+  for (std::thread& c : callers) c.join();
+  EXPECT_EQ(total.load(), 3L * 200 * 16);
+}
+
+TEST(ThreadPool, GlobalPoolIsBoundedAndReusable) {
+  ThreadPool& global = ThreadPool::global();
+  EXPECT_GE(global.size(), 2u);
+  std::atomic<int> ran{0};
+  global.submit([&] { ran.fetch_add(1); });
   while (ran.load() != 1) std::this_thread::yield();
-  EXPECT_EQ(&shared, &WorkStealPool::shared());
+  EXPECT_EQ(&global, &ThreadPool::global());
 }
 
 }  // namespace

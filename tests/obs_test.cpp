@@ -44,7 +44,9 @@ TEST(ObsHistogram, BucketBoundariesFollowBitWidth) {
                                 (1ull << 40) + 5, ~0ull}) {
     const std::size_t b = obs::Histogram::bucket_of(v);
     EXPECT_LE(v, obs::Histogram::bucket_upper(b)) << v;
-    if (b > 0) EXPECT_GT(v, obs::Histogram::bucket_upper(b - 1)) << v;
+    if (b > 0) {
+      EXPECT_GT(v, obs::Histogram::bucket_upper(b - 1)) << v;
+    }
   }
 }
 

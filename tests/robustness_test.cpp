@@ -107,14 +107,14 @@ TEST(Robustness, JobBodyExceptionBecomesFailedResultNotCrash) {
                   [](MissionContext&, JobOutcome&) {
                     throw std::runtime_error("boom: poisoned job body");
                   });
-  runner->result();
+  runner->wait();
   EXPECT_EQ(runner->status(), JobStatus::kFailed);
   EXPECT_NE(runner->result().error.find("boom"), std::string::npos);
 
   // The pool (and its worker threads) survived; the next job is fine.
   const MissionSpec spec = quick_spec("after-poison", 8, 1);
   const auto next = pool.submit(make_job_config(spec), make_job_body(spec));
-  next->result();
+  next->wait();
   EXPECT_EQ(next->status(), JobStatus::kDone);
   EXPECT_EQ(pool.pool_stats().failed, 1u);
   EXPECT_EQ(pool.pool_stats().done, 1u);
@@ -126,7 +126,7 @@ TEST(Robustness, TaskThrowFaultFailsExactlyOneJobCleanly) {
   const MissionSpec first = quick_spec("seu-victim", 8, 1);
   const auto victim =
       pool.submit(make_job_config(first), make_job_body(first));
-  victim->result();
+  victim->wait();
   EXPECT_EQ(victim->status(), JobStatus::kFailed);
   EXPECT_FALSE(victim->result().error.empty());
 
@@ -134,7 +134,7 @@ TEST(Robustness, TaskThrowFaultFailsExactlyOneJobCleanly) {
   const MissionSpec second = quick_spec("seu-survivor", 8, 1);
   const auto survivor =
       pool.submit(make_job_config(second), make_job_body(second));
-  survivor->result();
+  survivor->wait();
   EXPECT_EQ(survivor->status(), JobStatus::kDone);
 }
 
@@ -147,7 +147,7 @@ TEST(Robustness, DeadlineExpiryFailsTheJobAndIsCounted) {
   ASSERT_EQ(spec.deadline_ms, 50u);
   const auto runner =
       pool.submit(make_job_config(spec), make_job_body(spec));
-  runner->result();
+  runner->wait();
   EXPECT_EQ(runner->status(), JobStatus::kFailed);
   EXPECT_TRUE(runner->deadline_exceeded());
   EXPECT_FALSE(runner->result().error.empty());
@@ -158,7 +158,7 @@ TEST(Robustness, DeadlineExpiryFailsTheJobAndIsCounted) {
   relaxed.deadline_ms = 60000;
   const auto ok =
       pool.submit(make_job_config(relaxed), make_job_body(relaxed));
-  ok->result();
+  ok->wait();
   EXPECT_EQ(ok->status(), JobStatus::kDone);
   EXPECT_FALSE(ok->deadline_exceeded());
 }
@@ -178,7 +178,7 @@ TEST(Robustness, QuarantineFreeArrayShrinksCapacityAndHealRestoresIt) {
   const MissionSpec spec = quick_spec("degraded", 8, 1);
   const auto runner =
       pool.submit(make_job_config(spec), make_job_body(spec));
-  runner->result();
+  runner->wait();
   EXPECT_EQ(runner->status(), JobStatus::kDone);
 
   EXPECT_TRUE(pool.heal_array(0));
@@ -195,7 +195,7 @@ TEST(Robustness, QuarantineLeasedArrayPreemptsItsJob) {
   pool.quarantine_array(id);
   // Leased: the quarantine is pending until the lease releases, and the
   // job is asked to preempt at its next generation boundary.
-  runner->result();
+  runner->wait();
   EXPECT_EQ(runner->status(), JobStatus::kPreempted);
   EXPECT_EQ(pool.healthy_arrays(), 1u);
   EXPECT_EQ(pool.array_health()[id].state,
@@ -216,7 +216,7 @@ TEST(Robustness, QuarantineFailsQueuedJobsThatCanNeverFit) {
   // Quarantining the FREE array leaves healthy capacity 1: the queued
   // 2-lane job can never be placed and must fail now, not wait forever.
   pool.quarantine_array(hog_array == 0 ? 1 : 0);
-  wide_runner->result();
+  wide_runner->wait();
   EXPECT_EQ(wide_runner->status(), JobStatus::kFailed);
   EXPECT_FALSE(wide_runner->result().error.empty());
 
@@ -242,7 +242,7 @@ TEST(Robustness, PreemptedJobResumesOnEqualSliceBitIdentically) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   pool.quarantine_array(victim);
-  first->result();
+  first->wait();
   ASSERT_EQ(first->status(), JobStatus::kPreempted);
   const auto resume = latest.get();
   ASSERT_NE(resume, nullptr);
@@ -255,7 +255,7 @@ TEST(Robustness, PreemptedJobResumesOnEqualSliceBitIdentically) {
   ck.resume = resume;
   const auto second =
       pool.submit(make_job_config(spec), make_job_body(spec, ck));
-  second->result();
+  second->wait();
   ASSERT_EQ(second->status(), JobStatus::kDone);
   const JobOutcome& outcome = second->result();
   EXPECT_EQ(outcome.intrinsic.es.best_fitness, ref.fitness);
